@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -418,31 +419,58 @@ func TestCLIModelcheckExplainGarbage(t *testing.T) {
 
 // TestCLIModelcheckInterruptFlushesCleanly: on SIGINT, modelcheck shuts the
 // engine down gracefully and seals the event log and trace files — no
-// truncated final record anywhere, exit code 0.
+// truncated final record anywhere, exit code 0. The signal goes out only
+// after the first -progress line proves the exploration is under way, and
+// the workload (a capped sweep of millions of leaves) cannot finish first,
+// so the run must report the interrupt.
 func TestCLIModelcheckInterruptFlushesCleanly(t *testing.T) {
 	dir := t.TempDir()
 	traceDir := filepath.Join(dir, "traces")
 	eventsFile := filepath.Join(dir, "events.jsonl")
 	bin := filepath.Join(buildCLIs(t), "modelcheck")
 	cmd := exec.Command(bin,
-		"-proto", "figure3", "-f", "1", "-t", "1", "-n", "2", "-unbounded",
-		"-workers", "1", "-events", eventsFile,
+		"-proto", "figure3", "-f", "2", "-t", "1", "-n", "3", "-max", "1000000000",
+		"-workers", "1", "-events", eventsFile, "-progress", "20ms",
 		"-trace", traceDir, "-trace-sample", "200")
-	var buf strings.Builder
-	cmd.Stdout = &buf
-	cmd.Stderr = &buf
+	var stdout strings.Builder
+	cmd.Stdout = &stdout
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond)
-	signaled := cmd.Process.Signal(os.Interrupt) == nil
-	err := cmd.Wait()
-	out := buf.String()
+	ready := make(chan struct{})
+	drained := make(chan string)
+	go func() {
+		var all strings.Builder
+		sc := bufio.NewScanner(stderr)
+		for started := false; sc.Scan(); {
+			all.WriteString(sc.Text() + "\n")
+			if !started && strings.HasPrefix(sc.Text(), "progress:") {
+				started = true
+				close(ready)
+			}
+		}
+		drained <- all.String()
+	}()
+	select {
+	case <-ready:
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill() //nolint:errcheck // failing anyway
+		t.Fatalf("no progress line within 30s:\n%s", <-drained)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatalf("SIGINT: %v", err)
+	}
+	errOut := <-drained
+	err = cmd.Wait()
+	out := stdout.String() + errOut
 	if err != nil {
 		t.Fatalf("interrupted run must exit 0: %v\n%s", err, out)
 	}
-	if signaled && !strings.Contains(out, "VERIFIED") &&
-		!strings.Contains(out, "interrupted : signal received") {
+	if !strings.Contains(out, "interrupted : signal received") {
 		t.Errorf("no interrupt acknowledgement:\n%s", out)
 	}
 

@@ -95,8 +95,7 @@ func main() {
 		t         = flag.Int("t", 1, "per-object fault bound t")
 		n         = flag.Int("n", 2, "number of processes")
 		kindName  = flag.String("fault", "overriding", "fault kind: overriding | silent")
-		engine    = flag.String("engine", "auto", "execution form: auto | compiled | interpreted (goroutine reference)")
-		reduceF   = flag.String("reduce", "off", "partial-order reduction: off | on (sleep sets + symmetry; keeps verdict and lex-least counterexample) | aggressive (adds footprint persistent sets; verdict only, compiled form required)")
+		reduceF   = flag.String("reduce", "off", "partial-order reduction: off | on (sleep sets + symmetry; keeps verdict and lex-least counterexample) | aggressive (adds footprint persistent sets; verdict only)")
 		unbounded = flag.Bool("unbounded", false, "unbounded faults per faulty object")
 		faulty    = flag.Int("faulty", -1, "number of faulty objects (default: all of the protocol's objects)")
 		maxExecs  = flag.Int("max", explore.DefaultMaxExecutions, "execution cap")
@@ -127,14 +126,7 @@ func main() {
 	flag.Parse()
 
 	if *explainF != "" {
-		// The capture replays through the form that produced it; an explicit
-		// -engine must match the recording or the replay is refused — it
-		// would be evidence about an engine that never ran this execution.
-		mode, err := run.ParseExecMode(strings.ToLower(*engine))
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := explore.ExplainFileAs(os.Stdout, *explainF, mode); err != nil {
+		if err := explore.ExplainFile(os.Stdout, *explainF); err != nil {
 			fail("%v", err)
 		}
 		return
@@ -183,7 +175,6 @@ func main() {
 		"unbounded": func(v string) { *unbounded = v == "true" },
 		"faulty":    func(v string) { *faulty = atoi(v) },
 		"dedup":     func(v string) { *dedup = v == "true" },
-		"engine":    func(v string) { *engine = v },
 		"reduce":    func(v string) { *reduceF = v },
 	}
 	var st *store.Store
@@ -252,15 +243,6 @@ func main() {
 		inputs[i] = int64(10 + i)
 	}
 
-	execMode, err := run.ParseExecMode(strings.ToLower(*engine))
-	if err != nil {
-		fail("%v", err)
-	}
-	compiled, err := run.ResolveExec(execMode, proto)
-	if err != nil {
-		fail("%v", err)
-	}
-	execLabel := run.ExecLabel(compiled)
 	reduceMode, err := run.ParseReduceMode(strings.ToLower(*reduceF))
 	if err != nil {
 		fail("%v", err)
@@ -273,14 +255,13 @@ func main() {
 		run.WithFaultyObjects(ids, perObject),
 		run.WithFaultKind(kind),
 		run.WithMaxExecutions(*maxExecs),
-		run.WithExecMode(execMode),
 		run.WithReduce(reduceMode),
 	))
 
 	if *finalizeF != "" {
-		finalizeLedger(cfg, *finalizeF, proto, execLabel, ids, perObject, *n,
+		finalizeLedger(cfg, *finalizeF, proto, ids, perObject, *n,
 			*jsonOut, *diagram, *reportOut,
-			settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup))
+			settingsMeta(*protoName, *kindName, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup))
 		return
 	}
 
@@ -298,7 +279,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		m.Extra = settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
+		m.Extra = settingsMeta(*protoName, *kindName, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
 		if st, err = store.Create(*checkpt, m); err != nil {
 			fail("%v", err)
 		}
@@ -325,7 +306,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		m.Extra = settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
+		m.Extra = settingsMeta(*protoName, *kindName, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
 		m.LedgerEpoch = led.Epoch()
 		sm, err := store.CreateShared(*ledgerF, m)
 		if errors.Is(err, fs.ErrExist) {
@@ -342,10 +323,9 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the exploration context instead of killing the
 	// process, so the event log, checkpoint, trace files, and profiles are
-	// all flushed and sealed before exit (a second signal kills immediately
-	// once stopSignals runs).
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	// all flushed and sealed before exit. The handler stays installed until
+	// the process exits: only a second signal kills.
+	ctx, signalled := notifySignals()
 	if *deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
@@ -389,7 +369,7 @@ func main() {
 	if *traceDir != "" {
 		var err error
 		tracer, err = explore.NewTracer(*traceDir, *traceN,
-			settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup))
+			settingsMeta(*protoName, *kindName, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup))
 		if err != nil {
 			fail("%v", err)
 		}
@@ -437,9 +417,6 @@ func main() {
 		defer shutdown() //nolint:errcheck // exiting anyway
 	}
 	out, err := eng.Check(ctx, cfg)
-	// From here on a signal should kill the process the ordinary way; the
-	// flushes below run regardless because the engine already returned.
-	stopSignals()
 	deadlineHit := errors.Is(err, context.DeadlineExceeded)
 	interrupted := errors.Is(err, context.Canceled)
 	if cerr := tracer.Close(); cerr != nil && err == nil {
@@ -463,7 +440,7 @@ func main() {
 		fail("event log: %v", err)
 	}
 	if *reportOut != "" {
-		meta := settingsMeta(*protoName, *kindName, *engine, execLabel, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
+		meta := settingsMeta(*protoName, *kindName, reduceLabel, *f, *t, *n, *faulty, *unbounded, *dedup)
 		meta["workers"] = strconv.Itoa(out.Workers)
 		meta["max"] = strconv.Itoa(*maxExecs)
 		if err := obs.WriteReport(*reportOut, buildReport(out, reg, events, meta)); err != nil {
@@ -473,8 +450,11 @@ func main() {
 	if err := profiles.stop(); err != nil {
 		fail("%v", err)
 	}
+	if signalled() && !interrupted {
+		fmt.Fprintln(os.Stderr, "modelcheck: signal received after the exploration finished; every artifact was sealed")
+	}
 
-	fmt.Printf("protocol    : %s (%s form)\n", proto.Name(), execLabel)
+	fmt.Printf("protocol    : %s\n", proto.Name())
 	fmt.Printf("processes   : %d, faulty objects: %v, faults/object: %s\n",
 		*n, ids, tString(perObject))
 	fmt.Printf("executions  : %d (complete: %v)\n", out.Executions, out.Complete)
@@ -655,13 +635,10 @@ func (r *progressReporter) flush() { r.w.Flush() } //nolint:errcheck // stderr
 
 // settingsMeta renders the run settings as the flat string map shared by
 // the checkpoint manifest (Extra), the trace/v1 header, and the -report Run
-// section. engine is the -engine flag as given (so a resume restores it
-// verbatim); exec is the resolved execution form ("compiled"/"interpreted"),
-// sealed so replays of the artifact run under the form that produced it;
-// reduce is the resolved reduction mode, sealed for the same reason — a
-// reduced tree has different choice-path coordinates, so -explain and
-// resume must replay under the mode that produced the artifact.
-func settingsMeta(protoName, kindName, engine, exec, reduce string, f, t, n, faulty int, unbounded, dedup bool) map[string]string {
+// section. reduce is the resolved reduction mode, sealed because a reduced
+// tree has different choice-path coordinates, so -explain and resume must
+// replay under the mode that produced the artifact.
+func settingsMeta(protoName, kindName, reduce string, f, t, n, faulty int, unbounded, dedup bool) map[string]string {
 	return map[string]string{
 		"proto":     strings.ToLower(protoName),
 		"f":         strconv.Itoa(f),
@@ -671,8 +648,6 @@ func settingsMeta(protoName, kindName, engine, exec, reduce string, f, t, n, fau
 		"unbounded": strconv.FormatBool(unbounded),
 		"faulty":    strconv.Itoa(faulty),
 		"dedup":     strconv.FormatBool(dedup),
-		"engine":    strings.ToLower(engine),
-		"exec":      exec,
 		"reduce":    reduce,
 	}
 }
@@ -682,7 +657,7 @@ func settingsMeta(protoName, kindName, engine, exec, reduce string, f, t, n, fau
 // exits 0, a violation prints the replayed counterexample and exits 1, and
 // an incomplete ledger (pending tasks or leases) reports who is still
 // working and exits 2.
-func finalizeLedger(cfg explore.Config, dir string, proto core.Protocol, execLabel string,
+func finalizeLedger(cfg explore.Config, dir string, proto core.Protocol,
 	ids []int, perObject, n int, jsonOut, diagram bool, reportOut string, meta map[string]string) {
 	out, merged, err := explore.FinalizeLedger(cfg, dir, false)
 	var inc *ledger.IncompleteError
@@ -721,7 +696,7 @@ func finalizeLedger(cfg explore.Config, dir string, proto core.Protocol, execLab
 		}
 	}
 
-	fmt.Printf("protocol    : %s (%s form)\n", proto.Name(), execLabel)
+	fmt.Printf("protocol    : %s\n", proto.Name())
 	fmt.Printf("processes   : %d, faulty objects: %v, faults/object: %s\n", n, ids, tString(perObject))
 	fmt.Printf("executions  : %d (complete: %v)\n", out.Executions, out.Complete)
 	fmt.Printf("max steps   : %d per process, max faults: %d per execution\n",
@@ -847,6 +822,30 @@ func (p *profileCapture) stop() error {
 		return err
 	}
 	return f.Close()
+}
+
+// notifySignals routes SIGINT and SIGTERM into the cancellation of the
+// returned context instead of the default kill, and reports through the
+// returned probe whether a signal arrived. The handler stays installed for
+// the life of the process, so a signal landing while artifacts are being
+// sealed cannot truncate them. A second signal restores the default
+// disposition and re-delivers itself, killing the process the ordinary way.
+func notifySignals() (context.Context, func() bool) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ch := make(chan os.Signal, 2)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	var got atomic.Bool
+	go func() {
+		<-ch
+		got.Store(true)
+		cancel()
+		sig := <-ch
+		signal.Reset(os.Interrupt, syscall.SIGTERM)
+		if p, err := os.FindProcess(os.Getpid()); err == nil {
+			p.Signal(sig) //nolint:errcheck // exiting either way
+		}
+	}()
+	return ctx, got.Load
 }
 
 func fail(format string, args ...any) {

@@ -6,6 +6,7 @@
 package adversary
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -193,8 +194,7 @@ func coveringRun(proto core.Protocol, inputs []int64, tightness bool) (*Covering
 		}
 	})
 
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(proto, bank, inputs),
+	res, err := run.Simulate(context.Background(), proto, bank, inputs, sim.SteppedConfig{
 		Scheduler: scheduler,
 		StepLimit: proto.StepBound(n) + 8,
 		Log:       log,
@@ -269,8 +269,7 @@ func DataFault(proto core.Protocol, inputs []int64, obj int, value word.Word) (*
 		return enabled[0], true
 	})
 
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(proto, bank, inputs),
+	res, err := run.Simulate(context.Background(), proto, bank, inputs, sim.SteppedConfig{
 		Scheduler: scheduler,
 		StepLimit: proto.StepBound(len(inputs)) + 8,
 		Log:       log,

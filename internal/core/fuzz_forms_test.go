@@ -1,19 +1,24 @@
 package core_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/object"
 	"repro/internal/run"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // FuzzCompiledVsInterpreted drives random (protocol, schedule, fault) triples
-// through both execution forms — the goroutine-gated reference simulator and
-// the compiled Stepper machines — and fails on any divergence in decisions,
-// per-process step counts, stall/stop status, verdicts, or the full trace
-// event log. It is the randomized complement of the exhaustive
+// through both execution forms — the goroutine-gated reference simulator
+// (sim.Run over run.Programs, called directly) and the compiled Stepper
+// machines every driver runs (run.Consensus) — and fails on any divergence
+// in decisions, per-process step counts, stall/stop status, verdicts, or
+// the full trace event log. It is the randomized complement of the exhaustive
 // explore.CrossCheck sweep: the sweep certifies small configurations
 // completely, the fuzzer hunts for divergence in corners the sweep's fixed
 // configurations never reach (adversarial halts, byte-shaped interleavings,
@@ -33,8 +38,8 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 			inputs[i] = int64(10 + i)
 		}
 
-		ires, ierr := fuzzRun(proto, inputs, kind, sched, faults, run.ExecInterpreted)
-		cres, cerr := fuzzRun(proto, inputs, kind, sched, faults, run.ExecCompiled)
+		ires, ierr := referenceRun(proto, inputs, kind, sched, faults)
+		cres, cerr := compiledRun(proto, inputs, kind, sched, faults)
 		if (ierr == nil) != (cerr == nil) || (ierr != nil && ierr.Error() != cerr.Error()) {
 			t.Fatalf("errors diverge: interpreted %v, compiled %v", ierr, cerr)
 		}
@@ -71,22 +76,43 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 	})
 }
 
-// fuzzRun executes one form. The scheduler and policy are rebuilt from the
-// same bytes for each form, so both consume identical decision streams.
-func fuzzRun(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults []byte, mode run.ExecMode) (*run.Result, error) {
-	ids := make([]int, proto.Objects())
-	for i := range ids {
-		ids[i] = i
-	}
+// compiledRun executes the compiled form. The scheduler and policy are
+// rebuilt from the same bytes for each form, so both consume identical
+// decision streams.
+func compiledRun(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults []byte) (*run.Result, error) {
 	return run.Consensus(run.Config{
 		Protocol:  proto,
 		Inputs:    inputs,
 		Scheduler: &byteSched{bytes: sched},
-		Budget:    fault.NewFixedBudget(ids, 2),
+		Budget:    fuzzBudget(proto),
 		Policy:    bytePolicy(kind, faults),
 		Trace:     true,
-		Exec:      mode,
 	})
+}
+
+// referenceRun executes the paper-shaped Decide on the goroutine-gated
+// reference simulator, folding its outcome the way run.Consensus does.
+func referenceRun(proto core.Protocol, inputs []int64, kind fault.Kind, sched, faults []byte) (*run.Result, error) {
+	bank := object.NewBank(proto.Objects(), fuzzBudget(proto), bytePolicy(kind, faults))
+	res, err := sim.Run(sim.Config{
+		Programs:  run.Programs(proto, bank, inputs),
+		Scheduler: &byteSched{bytes: sched},
+		StepLimit: proto.StepBound(len(inputs)),
+		Log:       trace.New(),
+	})
+	if err != nil && (res == nil || !errors.Is(err, sim.ErrWaitFreedom)) {
+		return nil, err
+	}
+	return &run.Result{Sim: res, Verdict: run.Evaluate(inputs, res, err), Bank: bank}, nil
+}
+
+// fuzzBudget admits two faults on every object of the protocol.
+func fuzzBudget(proto core.Protocol) *fault.Budget {
+	ids := make([]int, proto.Objects())
+	for i := range ids {
+		ids[i] = i
+	}
+	return fault.NewFixedBudget(ids, 2)
 }
 
 func fuzzProtocol(sel uint8) core.Protocol {

@@ -5,9 +5,11 @@ import "repro/internal/word"
 // This file is the compiled execution form of the protocols: each Decide
 // loop is lowered to an explicitly resumable state machine (a Stepper) that
 // a driver advances one shared-memory step at a time on its own goroutine.
-// The goroutine-gated simulator remains the reference semantics; a Stepper
-// must be step-for-step equivalent to its protocol's Decide (same CAS
-// arguments in the same order, same decision), which the differential
+// It is the only form any driver simulates: a protocol must implement
+// Steppable to be checked, stressed or run. Decide, on the goroutine-gated
+// simulator, is the specification the compiled form is certified against:
+// a Stepper must be step-for-step equivalent to its protocol's Decide (same
+// CAS arguments in the same order, same decision), which the differential
 // checker (explore.CrossCheck) and FuzzCompiledVsInterpreted enforce.
 //
 // The Stepper contract mirrors the simulator's step model exactly:
@@ -81,8 +83,7 @@ type Steppable interface {
 }
 
 // Compile returns the compiled form of the protocol, or ok=false when the
-// protocol provides none (drivers then fall back to the goroutine-gated
-// reference path).
+// protocol provides none (drivers then refuse it).
 func Compile(p Protocol) (Stepper, bool) {
 	s, ok := p.(Steppable)
 	if !ok {

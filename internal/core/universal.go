@@ -90,6 +90,15 @@ func (u *Universal) record(i int, cmd int64) {
 	}
 }
 
+// position returns the decided prefix length and, when cmd is already
+// decided, the slot it was decided into.
+func (u *Universal) position(cmd int64) (prefix, slot int, applied bool) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	slot, applied = u.applied[cmd]
+	return u.prefix, slot, applied
+}
+
 // appliedAt returns the slot a command was decided into, if any.
 func (u *Universal) appliedAt(cmd int64) (int, bool) {
 	u.mu.Lock()
@@ -113,10 +122,15 @@ func (u *Universal) Execute(proc int, cmd int64) int {
 	defer u.announce[proc].CompareAndSwap(cmd, -1)
 
 	for {
-		if i, ok := u.appliedAt(cmd); ok {
+		// The prefix and cmd's slot are read in one critical section: a
+		// cmd still undecided with the prefix at L sits in no slot below
+		// L, so proposing it at L cannot decide it twice. Read apart, a
+		// helper could decide cmd at a slot below L in between, and the
+		// caller would decide it again at L.
+		L, i, ok := u.position(cmd)
+		if ok {
 			return i
 		}
-		L := u.length()
 
 		// Helping: slot L belongs to process L mod n. If that process
 		// has announced a not-yet-applied command, everyone proposes

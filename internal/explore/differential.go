@@ -2,13 +2,18 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 
+	"repro/internal/fault"
+	"repro/internal/object"
 	"repro/internal/run"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
-// CrossReport is the outcome of a compiled-vs-interpreted differential
+// CrossReport is the outcome of a compiled-vs-reference differential
 // sweep.
 type CrossReport struct {
 	// Executions is the number of leaves both forms replayed.
@@ -24,49 +29,40 @@ type CrossReport struct {
 }
 
 // CrossCheck enumerates the execution tree leaf for leaf through BOTH
-// execution forms — the goroutine-gated reference simulator and the
-// compiled step machines — and compares every observable of every leaf:
-// the extended choice path, the schedule, the verdict (violation, detail,
-// decisions), the per-process step counts, the fault tally, and the full
-// trace event log. The enumeration is driven by the interpreted form (the
-// reference), in its depth-first order, so the first divergence reported is
-// the lexicographically least one; on a clean sweep both forms necessarily
-// agree on the lex-least counterexample and on completeness.
+// execution forms — the goroutine-gated reference simulator running the
+// protocol's paper-shaped Decide, and the compiled step machines every
+// driver runs — and compares every observable of every leaf: the extended
+// choice path, the schedule, the verdict (violation, detail, decisions),
+// the per-process step counts, the fault tally, and the full trace event
+// log. The enumeration is driven by the reference, in its depth-first
+// order, so the first divergence reported is the lexicographically least
+// one; on a clean sweep both forms necessarily agree on the lex-least
+// counterexample and on completeness.
 //
-// The protocol must provide a Stepper (run.ExecCompiled would refuse it
-// otherwise); dedup and fixed policies are outside CrossCheck's scope —
-// it exists to certify the compiled form against the reference, and does so
+// Dedup, reduction and fixed policies are outside CrossCheck's scope — it
+// exists to certify the compiled form against the reference, and does so
 // over the checker's own choice-driven fault policy.
 func CrossCheck(cfg Config) (*CrossReport, error) {
-	icfg := cfg
-	icfg.Exec = run.ExecInterpreted
-	ccfg := cfg
-	ccfg.Exec = run.ExecCompiled
-	kind, cap, _, err := icfg.prepare()
+	kind, cap, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
-	if _, _, _, err := ccfg.prepare(); err != nil {
-		return nil, err
-	}
-	if cfg.FixedPolicy != nil {
-		return nil, fmt.Errorf("explore: CrossCheck drives the checker's own fault policy, not FixedPolicy")
+	if cfg.FixedPolicy != nil || cfg.Reduce != run.ReduceOff {
+		return nil, fmt.Errorf("explore: CrossCheck drives the checker's own fault policy over the unreduced tree")
 	}
 
-	ic := &chooser{}
-	ies := newExecState(icfg, kind, false, ic, nil)
-	defer ies.close()
+	ref := newReference(cfg, kind)
 	cc := &chooser{}
-	ces := newExecState(ccfg, kind, true, cc, nil)
-	defer ces.close()
+	ces := newExecState(cfg, kind, cc, nil)
 
 	rep := &CrossReport{}
 	for rep.Executions < cap {
+		ic := ref.c
 		ic.arity = ic.arity[:0]
 		ic.pos = 0
-		iv, istats, _, err := ies.runLeaf(context.Background())
+		iv, istats, err := ref.runLeaf()
 		if err != nil {
-			return nil, fmt.Errorf("explore: crosscheck: interpreted leaf %v: %w", ic.path, err)
+			return nil, fmt.Errorf("explore: crosscheck: reference leaf %v: %w", ic.path, err)
 		}
 
 		// Replay the same leaf through the compiled form: seed its chooser
@@ -85,7 +81,7 @@ func CrossCheck(cfg Config) (*CrossReport, error) {
 			rep.Detail = err.Error()
 			return rep, nil
 		}
-		if diff := diffLeaf(ies, ces, iv, cv, istats, cstats, ic, cc); diff != "" {
+		if diff := diffLeaf(ref, ces, iv, cv, istats, cstats); diff != "" {
 			rep.Diverged = true
 			rep.Path = append([]int(nil), ic.path...)
 			rep.Detail = diff
@@ -97,6 +93,60 @@ func CrossCheck(cfg Config) (*CrossReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// reference replays leaves on the goroutine-gated reference simulator:
+// sim.RunContext over run.Programs, with a scheduler and a fault policy
+// driven by its own chooser exactly as an execState's are.
+type reference struct {
+	cfg      Config
+	c        *chooser
+	budget   *fault.Budget
+	bank     *object.Bank
+	log      *trace.Log
+	schedule []int
+	eval     *run.Evaluator
+	limit    int
+}
+
+func newReference(cfg Config, kind fault.Kind) *reference {
+	r := &reference{cfg: cfg, c: &chooser{}, log: trace.New(), eval: run.NewEvaluator(cfg.Inputs)}
+	r.budget = fault.NewFixedBudget(cfg.FaultyObjects, cfg.FaultsPerObject)
+	r.bank = object.NewBank(cfg.Protocol.Objects(), r.budget, choicePolicy(r.budget, kind, r.c))
+	r.limit = cfg.StepLimit
+	if r.limit <= 0 {
+		r.limit = cfg.Protocol.StepBound(len(cfg.Inputs))
+	}
+	return r
+}
+
+// next is the reference scheduler: it follows the choice path through the
+// enabled set.
+func (r *reference) next(enabled []int) (int, bool) {
+	pick := enabled[0]
+	if len(enabled) > 1 {
+		pick = enabled[r.c.choose(len(enabled))]
+	}
+	r.schedule = append(r.schedule, pick)
+	return pick, true
+}
+
+// runLeaf replays one execution along the chooser's path.
+func (r *reference) runLeaf() (run.Verdict, runStats, error) {
+	r.budget.Reset()
+	r.bank.Reset()
+	r.log.Reset()
+	r.schedule = r.schedule[:0]
+	res, err := sim.RunContext(context.Background(), sim.Config{
+		Programs:  run.Programs(r.cfg.Protocol, r.bank, r.cfg.Inputs),
+		Scheduler: sim.SchedulerFunc(r.next),
+		StepLimit: r.limit,
+		Log:       r.log,
+	})
+	if err != nil && (res == nil || !errors.Is(err, sim.ErrWaitFreedom)) {
+		return run.Verdict{}, runStats{}, err
+	}
+	return r.eval.Evaluate(res, err), statsOf(res, r.budget), nil
 }
 
 // crossLeaf replays one leaf on the compiled execState, converting a
@@ -117,27 +167,28 @@ func crossLeaf(es *execState) (v run.Verdict, stats runStats, err error) {
 
 // diffLeaf compares every observable of one leaf across the two forms and
 // describes the first difference ("" when identical).
-func diffLeaf(ies, ces *execState, iv, cv run.Verdict, istats, cstats runStats, ic, cc *chooser) string {
+func diffLeaf(ref *reference, ces *execState, iv, cv run.Verdict, istats, cstats runStats) string {
+	ic, cc := ref.c, ces.c
 	if cc.pos != len(ic.path) || len(cc.path) != len(ic.path) {
-		return fmt.Sprintf("choice path: interpreted used %v, compiled consumed %d of %v",
+		return fmt.Sprintf("choice path: reference used %v, compiled consumed %d of %v",
 			ic.path, cc.pos, cc.path)
 	}
-	if !reflect.DeepEqual(ies.schedule, ces.schedule) {
-		return fmt.Sprintf("schedule: interpreted %v, compiled %v", ies.schedule, ces.schedule)
+	if !reflect.DeepEqual(ref.schedule, ces.schedule) {
+		return fmt.Sprintf("schedule: reference %v, compiled %v", ref.schedule, ces.schedule)
 	}
 	if iv.Violation != cv.Violation || iv.Detail != cv.Detail {
-		return fmt.Sprintf("verdict: interpreted %s, compiled %s", iv.String(), cv.String())
+		return fmt.Sprintf("verdict: reference %s, compiled %s", iv.String(), cv.String())
 	}
 	if iv.Agreed != cv.Agreed || iv.Stopped != cv.Stopped ||
 		!reflect.DeepEqual(iv.Decided, cv.Decided) || !reflect.DeepEqual(iv.Decisions, cv.Decisions) {
-		return fmt.Sprintf("decisions: interpreted %s (stopped=%v), compiled %s (stopped=%v)",
+		return fmt.Sprintf("decisions: reference %s (stopped=%v), compiled %s (stopped=%v)",
 			iv.String(), iv.Stopped, cv.String(), cv.Stopped)
 	}
 	if istats != cstats {
-		return fmt.Sprintf("stats: interpreted maxSteps=%d faults=%d, compiled maxSteps=%d faults=%d",
+		return fmt.Sprintf("stats: reference maxSteps=%d faults=%d, compiled maxSteps=%d faults=%d",
 			istats.maxSteps, istats.faults, cstats.maxSteps, cstats.faults)
 	}
-	if diff := diffEvents(ies.log.Events(), ces.log.Events()); diff != "" {
+	if diff := diffEvents(ref.log.Events(), ces.log.Events()); diff != "" {
 		return "trace: " + diff
 	}
 	return ""

@@ -9,12 +9,13 @@ import (
 )
 
 // TestCompiledMatchesInterpreted is the equivalence gate of the compiled
-// execution form (scripts/check.sh runs it by name): for every protocol
-// with a Stepper, a full covering sweep — n = 2 processes, f = 1 faulty
-// object, unbounded faults per object — is enumerated leaf for leaf through
-// both forms, comparing verdicts, schedules, decisions, step counts, fault
-// tallies, and complete trace logs. Any divergence fails with the
-// lexicographically least diverging leaf.
+// execution form (scripts/check.sh runs it by name): for every protocol, a
+// full covering sweep — n = 2 processes, f = 1 faulty object, unbounded
+// faults per object — is enumerated leaf for leaf through the compiled
+// Stepper every driver runs and through the paper-shaped Decide on the
+// goroutine reference simulator, comparing verdicts, schedules, decisions,
+// step counts, fault tallies, and complete trace logs. Any divergence fails
+// with the lexicographically least diverging leaf.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	cases := []struct {
 		name string

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,7 +36,7 @@ import (
 // outright; instead it becomes a pruning bound: subtrees lexicographically
 // at or above the best violation are abandoned, so only the work needed to
 // certify the canonical counterexample remains. Combined with
-// context.Context cancellation threaded through sim.Run, workers stop
+// context.Context cancellation threaded through the replays, workers stop
 // promptly once nothing below the bound is left.
 //
 // With Dedup set, workers additionally fingerprint the canonical execution
@@ -199,7 +200,6 @@ func newRunMetrics(reg *obs.Registry, workers int) *runMetrics {
 type engineRun struct {
 	cfg         Config
 	kind        fault.Kind
-	compiled    bool
 	cap         int
 	stopOnFirst bool
 	lowWater    int
@@ -242,7 +242,7 @@ func (e *Engine) Check(ctx context.Context, cfg Config) (*Outcome, error) {
 	if e.Ledger != nil {
 		return e.checkLedger(ctx, cfg)
 	}
-	kind, cap, compiled, err := cfg.prepare()
+	kind, cap, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +271,6 @@ func (e *Engine) Check(ctx context.Context, cfg Config) (*Outcome, error) {
 	r := &engineRun{
 		cfg:         cfg,
 		kind:        kind,
-		compiled:    compiled,
 		cap:         cap,
 		stopOnFirst: !e.Exhaustive,
 		lowWater:    2 * workers,
@@ -429,6 +428,11 @@ func (r *engineRun) prime(cp *store.Checkpoint) ([]task, error) {
 	for i, t := range cp.Tasks {
 		tasks[i] = task{path: append([]int(nil), t.Path...), floor: t.Floor}
 	}
+	// The frontier is a stack. Whatever order the snapshot listed the tasks
+	// in, put the lexicographically least on top, so a resumed search works
+	// through the region of the canonical counterexample first, as the
+	// uninterrupted run did.
+	slices.SortFunc(tasks, func(a, b task) int { return slices.Compare(b.path, a.path) })
 	r.ev.Emit(obs.Info, "checkpoint.restore", map[string]any{
 		"seq": cp.Seq, "executions": cp.Executions, "tasks": len(tasks),
 		"dedup_entries": len(cp.Dedup), "best_path_len": len(cp.BestPath),
@@ -586,9 +590,9 @@ func (r *engineRun) mergeMaxima(localSteps, localFaults int) {
 // stays in the worker's frontier slot so the final checkpoint preserves it;
 // the worker then exits rather than claim further tasks it cannot finish.
 //
-// The replay machinery (chooser, execState with its arena, dedup tracker)
-// is per-worker and lives for the worker's whole run — replays allocate
-// nothing on their hot path.
+// The replay machinery (chooser, execState with its stepped runner, dedup
+// tracker) is per-worker and lives for the worker's whole run — replays
+// allocate nothing on their hot path.
 func (r *engineRun) worker(ctx context.Context, w int) {
 	var dh *dedupHandle
 	if r.set != nil {
@@ -598,8 +602,7 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 		}
 	}
 	c := &chooser{}
-	es := newExecState(r.cfg, r.kind, r.compiled, c, dh)
-	defer es.close()
+	es := newExecState(r.cfg, r.kind, c, dh)
 	var l workerLease
 	for {
 		idleStart := time.Now()

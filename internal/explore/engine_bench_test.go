@@ -150,44 +150,6 @@ func BenchmarkEngineReduceSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkExecFormCoveringSweep compares the two execution forms on the
-// 4096-execution covering-sweep slab with a single worker, so the ratio
-// isolates per-execution cost: form=compiled drives the core.Stepper
-// machines through the stepped runner's tight loop (zero goroutine hops),
-// form=goroutine the goroutine-gated reference simulator (two channel
-// handshakes per step). scripts/bench.sh records the min-of-5 ratio as
-// compiled_speedup in BENCH_explore.json; scripts/check.sh gates it at ≥ 2×.
-func BenchmarkExecFormCoveringSweep(b *testing.B) {
-	for _, form := range []struct {
-		name string
-		mode run.ExecMode
-	}{
-		{"form=compiled", run.ExecCompiled},
-		{"form=goroutine", run.ExecInterpreted},
-	} {
-		b.Run(form.name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Exec = form.mode
-			eng := &Engine{Workers: 1}
-			var execs int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := eng.Check(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Executions != cfg.MaxExecutions {
-					b.Fatalf("executions = %d, want %d", out.Executions, cfg.MaxExecutions)
-				}
-				execs += int64(out.Executions)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(execs)/b.Elapsed().Seconds(), "paths/sec")
-		})
-	}
-}
-
 // BenchmarkSequentialCoveringSweep is the baseline for the engine benchmark:
 // the sequential reference checker on the same 4096-execution slab.
 func BenchmarkSequentialCoveringSweep(b *testing.B) {

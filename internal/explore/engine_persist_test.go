@@ -319,6 +319,63 @@ func TestEngineInterruptedResumeFindsViolation(t *testing.T) {
 	}
 }
 
+// TestEngineResumeClaimsLexLeastFirst: a snapshot lists its tasks in
+// whatever order the frontier and the worker slots held them. Resuming must
+// still start from the lexicographically least task, as the uninterrupted
+// search would — otherwise a stop-on-first resume can spend its whole cap
+// in a large violation-free subtree before reaching the counterexample.
+// The three tasks are the remaining work of a figure3 f=1 t=1 n=3 sweep
+// capped after two executions by two workers.
+func TestEngineResumeClaimsLexLeastFirst(t *testing.T) {
+	cfg := Config{
+		Protocol:        core.NewStaged(1, 1),
+		Inputs:          inputs(3),
+		FaultyObjects:   []int{0},
+		FaultsPerObject: 1,
+		MaxExecutions:   5000,
+	}
+	ref, err := Check(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 0, 0, 0, 0, 0, 0, 1}
+	if ref.OK() || !reflect.DeepEqual(ref.Violation.Path, want) {
+		t.Fatalf("reference violation = %+v, want path %v", ref.Violation, want)
+	}
+
+	m, err := ManifestFor(cfg, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "run")
+	st, err := store.Create(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(&store.Checkpoint{Executions: 2, Capped: true, Tasks: []store.Task{
+		{Path: []int{1}, Floor: 0},
+		{Path: want, Floor: 2},
+		{Path: []int{0, 1}, Floor: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if st, err = store.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	out, err := (&Engine{Workers: 1, Store: st}).Check(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.OK() || !reflect.DeepEqual(out.Violation.Path, want) {
+		t.Fatalf("resumed search: violation %+v after %d executions, want path %v", out.Violation, out.Executions, want)
+	}
+	if out.Executions != 3 {
+		t.Errorf("resumed search took %d executions, want 3 (two restored plus the counterexample)", out.Executions)
+	}
+}
+
 // TestEngineResumeCappedRun: the execution cap is advisory (not part of the
 // settings hash), so a capped run can resume with a higher cap and finish
 // the enumeration it was cut off from.

@@ -3,144 +3,27 @@ package explore
 import (
 	"context"
 	"errors"
-	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/run"
 	"repro/internal/store"
 	"repro/internal/trace/export"
 )
 
-// TestCheckpointRefusesExecFormMismatch: a checkpoint is a claim about what
-// a specific engine explored, so a run directory created under one execution
-// form refuses to resume under the other (store.ErrMismatch) — in both
-// directions.
-func TestCheckpointRefusesExecFormMismatch(t *testing.T) {
-	for _, tc := range []struct {
-		name            string
-		created, resume run.ExecMode
-	}{
-		{"compiled-refuses-interpreted", run.ExecCompiled, run.ExecInterpreted},
-		{"interpreted-refuses-compiled", run.ExecInterpreted, run.ExecCompiled},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := benchConfig()
-			cfg.Exec = tc.created
-			m, err := ManifestFor(cfg, false, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := store.Create(filepath.Join(t.TempDir(), "run"), m)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			same, err := ManifestFor(cfg, false, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Verify(same); err != nil {
-				t.Fatalf("same form must verify: %v", err)
-			}
-
-			cfg.Exec = tc.resume
-			other, err := ManifestFor(cfg, false, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Verify(other); !errors.Is(err, store.ErrMismatch) {
-				t.Fatalf("Verify under the other form = %v, want store.ErrMismatch", err)
-			}
-		})
-	}
-}
-
-// TestExplainRefusesExecFormMismatch (the -explain bugfix): a capture must
-// be replayed through the execution form that produced it — verifying a
-// compiled capture on the goroutine path would silently prove the wrong
-// thing. Captures without an exec entry (predating the compiled form) are
-// replayed under whatever the configuration resolves.
-func TestExplainRefusesExecFormMismatch(t *testing.T) {
-	cfg := benchConfig()
-	cfg.Exec = run.ExecInterpreted
-	x := &export.Execution{Meta: export.Meta{Kind: "execution", Run: map[string]string{"exec": "compiled"}}}
-	err := checkExecForm(cfg, x.Meta.Run)
-	if err == nil {
-		t.Fatal("compiled capture replayed on the interpreted path without refusal")
-	}
-	if !strings.Contains(err.Error(), "captured by the compiled engine") ||
-		!strings.Contains(err.Error(), "-engine compiled") {
-		t.Errorf("refusal must name both forms and the fix, got: %v", err)
-	}
-
-	cfg.Exec = run.ExecCompiled
-	if err := checkExecForm(cfg, map[string]string{"exec": "interpreted"}); err == nil {
-		t.Error("interpreted capture replayed on the compiled path without refusal")
-	}
-	if err := checkExecForm(cfg, map[string]string{"exec": "compiled"}); err != nil {
-		t.Errorf("matching form refused: %v", err)
-	}
-	if err := checkExecForm(cfg, map[string]string{}); err != nil {
-		t.Errorf("legacy capture without exec entry refused: %v", err)
-	}
-}
-
-// TestExplainFileAsFormOverride drives the refusal end to end through a real
-// capture file, the way `modelcheck -engine X -explain` reaches it: an
-// explicit override contradicting the recorded form is refused, the matching
-// override and the auto default both replay.
-func TestExplainFileAsFormOverride(t *testing.T) {
-	dir := t.TempDir()
-	out, err := CheckWith(context.Background(),
-		violatingOpts(run.WithTraceDir(dir, 0))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Violation == nil {
-		t.Fatal("expected a violation")
-	}
-	cap := globOne(t, dir, "violation-*.jsonl")
-
-	x, err := export.ReadFile(cap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded := x.Meta.Run["exec"]
-	if recorded != "compiled" && recorded != "interpreted" {
-		t.Fatalf("capture records exec=%q, want compiled or interpreted", recorded)
-	}
-	other := run.ExecCompiled
-	same := run.ExecInterpreted
-	if recorded == "compiled" {
-		other, same = same, other
-	}
-
-	if err := ExplainFileAs(io.Discard, cap, other); err == nil {
-		t.Errorf("replaying a %s capture under the other form must be refused", recorded)
-	} else if !strings.Contains(err.Error(), recorded) {
-		t.Errorf("refusal must name the recorded form %q, got: %v", recorded, err)
-	}
-	if err := ExplainFileAs(io.Discard, cap, same); err != nil {
-		t.Errorf("matching override refused: %v", err)
-	}
-	if err := ExplainFileAs(io.Discard, cap, run.ExecAuto); err != nil {
-		t.Errorf("auto (defer to the recording) refused: %v", err)
-	}
-}
-
-// TestEngineCancelMidLeaseWorkerSumCompiled is the stepped-runner variant of
+// TestEngineCancelMidLeaseWorkerSumCompiled is the large-slab variant of
 // TestEngineCancelMidLeaseWorkerSum: cancellation strikes workers mid-lease
-// while every leaf runs through the compiled stepped runner (pinned
-// explicitly so a future default change cannot silently downgrade the
-// coverage), and the per-worker counters plus the restored count must still
-// sum to the reported total. Run under -race via scripts/check.sh.
+// on a million-execution cap of compiled replays, and the per-worker
+// counters plus the restored count must still sum to the reported total.
+// Run under -race via scripts/check.sh.
 func TestEngineCancelMidLeaseWorkerSumCompiled(t *testing.T) {
 	cfg := benchConfig()
-	cfg.Exec = run.ExecCompiled
 	cfg.MaxExecutions = 1_000_000
 	reg := obs.NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -166,42 +49,111 @@ func TestEngineCancelMidLeaseWorkerSumCompiled(t *testing.T) {
 	}
 }
 
-// TestEngineFormsAgreeOnCoveringSlab pins that the two forms produce the
-// identical Outcome on the capped covering slab the benchmarks use — same
-// execution count, same canonical counterexample — through the full engine
-// (workers, leases, frontier), not just the leaf-level CrossCheck.
-func TestEngineFormsAgreeOnCoveringSlab(t *testing.T) {
-	cfg := benchConfig()
-	cfg.Exec = run.ExecInterpreted
-	ref, err := (&Engine{Workers: 2}).Check(context.Background(), cfg)
+// TestResumeManifestExecForm: every exploration runs the compiled form and
+// its manifest says so. A run directory whose manifest records "compiled" —
+// what every directory made with the default form holds — resumes to the
+// same verdict; one recording "interpreted" was explored by the goroutine
+// form, which no longer exists, and is refused with store.ErrMismatch.
+func TestResumeManifestExecForm(t *testing.T) {
+	fresh, err := CheckWith(context.Background(), violatingOpts(run.WithWorkers(2))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Exec = run.ExecCompiled
-	got, err := (&Engine{Workers: 2}).Check(context.Background(), cfg)
+	if fresh.Violation == nil {
+		t.Fatal("expected a violation")
+	}
+
+	dir := filepath.Join(t.TempDir(), "compiled")
+	if _, err := CheckWith(context.Background(), violatingOpts(run.WithWorkers(2), run.WithCheckpoint(dir, 0))...); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Executions != ref.Executions || got.Complete != ref.Complete ||
-		got.MaxProcSteps != ref.MaxProcSteps || got.MaxFaults != ref.MaxFaults {
-		t.Fatalf("outcomes diverge: compiled {execs=%d complete=%v steps=%d faults=%d}, interpreted {execs=%d complete=%v steps=%d faults=%d}",
-			got.Executions, got.Complete, got.MaxProcSteps, got.MaxFaults,
-			ref.Executions, ref.Complete, ref.MaxProcSteps, ref.MaxFaults)
+	if got := st.Manifest().Exec; got != "compiled" {
+		t.Fatalf("manifest exec = %q, want compiled", got)
 	}
-	if (got.Violation == nil) != (ref.Violation == nil) {
-		t.Fatalf("violation presence diverges: compiled %v, interpreted %v",
-			got.Violation != nil, ref.Violation != nil)
+	st.Close()
+	resumed, err := CheckWith(context.Background(), violatingOpts(run.WithWorkers(2), run.WithResume(dir))...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Violation != nil {
-		if want := ref.Violation.Path; len(got.Violation.Path) != len(want) {
-			t.Errorf("canonical violation path = %v, want %v", got.Violation.Path, want)
+	if resumed.Violation == nil || !reflect.DeepEqual(resumed.Violation.Path, fresh.Violation.Path) {
+		t.Fatalf("resumed verdict %+v, want the fresh counterexample %v", resumed.Violation, fresh.Violation.Path)
+	}
+
+	m, err := ManifestFor(ConfigFrom(run.NewSettings(violatingOpts()...)), false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Exec = "interpreted"
+	old := filepath.Join(t.TempDir(), "interpreted")
+	st, err = store.Create(old, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if _, err := CheckWith(context.Background(), violatingOpts(run.WithResume(old))...); !errors.Is(err, store.ErrMismatch) {
+		t.Fatalf("resume of an interpreted run directory: err = %v, want store.ErrMismatch", err)
+	}
+}
+
+// TestExplainIgnoresRecordedExec: a trace/v1 capture replays under
+// -explain whatever execution form its meta names — "compiled",
+// "interpreted" (older captures recorded the form that produced them), or
+// none — because every replay runs the one compiled form.
+func TestExplainIgnoresRecordedExec(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := CheckWith(context.Background(), violatingOpts(run.WithTraceDir(dir, 0))...); err != nil {
+		t.Fatal(err)
+	}
+	x, err := export.ReadFile(globOne(t, dir, "violation-*.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := x.Meta.Run["exec"]; ok {
+		t.Fatalf("capture records exec=%q; the execution form is no longer a setting", v)
+	}
+	for _, exec := range []string{"compiled", "interpreted", ""} {
+		if exec == "" {
+			delete(x.Meta.Run, "exec")
 		} else {
-			for i := range want {
-				if got.Violation.Path[i] != want[i] {
-					t.Errorf("canonical violation path = %v, want %v", got.Violation.Path, want)
-					break
-				}
-			}
+			x.Meta.Run["exec"] = exec
+		}
+		path := filepath.Join(t.TempDir(), "capture.jsonl")
+		if err := export.WriteExecution(path, x); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := ExplainFile(&out, path); err != nil {
+			t.Fatalf("exec=%q: %v", exec, err)
+		}
+		if !strings.Contains(out.String(), "replay        : verified") {
+			t.Errorf("exec=%q: replay not verified:\n%s", exec, out.String())
+		}
+	}
+}
+
+// decideOnly hides a protocol's compiled form: only the core.Protocol
+// methods of the embedded protocol are promoted.
+type decideOnly struct{ core.Protocol }
+
+// TestNonSteppableRefused: every simulated execution runs the compiled
+// form, so the drivers refuse a protocol that does not implement
+// core.Steppable, and say so.
+func TestNonSteppableRefused(t *testing.T) {
+	opts := []run.Option{
+		run.WithProtocol(decideOnly{core.SingleCAS{}}),
+		run.WithDistinctInputs(2),
+		run.WithAllObjectsFaulty(fault.Unbounded),
+	}
+	_, checkErr := CheckWith(context.Background(), opts...)
+	_, stressErr := StressWith(10, 1, opts...)
+	_, consensusErr := run.ConsensusWith(opts...)
+	for name, err := range map[string]error{"CheckWith": checkErr, "StressWith": stressErr, "ConsensusWith": consensusErr} {
+		if err == nil || !strings.Contains(err.Error(), "core.Steppable") {
+			t.Errorf("%s: err = %v, want a refusal naming core.Steppable", name, err)
 		}
 	}
 }

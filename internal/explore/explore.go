@@ -65,18 +65,13 @@ type Config struct {
 	MaxExecutions int
 	// StepLimit overrides the protocol's per-process step bound.
 	StepLimit int
-	// Exec selects the execution form: the compiled step machines or the
-	// goroutine-gated reference simulator (default run.ExecAuto — compiled
-	// whenever the protocol provides a core.Stepper). Both forms enumerate
-	// identical trees with identical verdicts and counterexamples.
-	Exec run.ExecMode
 	// Reduce selects the partial-order reduction mode (default
 	// run.ReduceOff): run.ReduceSafe prunes schedule branches via sleep
 	// sets and process-symmetry canonicalization while preserving the
 	// verdict and the lexicographically least counterexample;
 	// run.ReduceAggressive additionally restricts branch points to
 	// persistent sets computed from the step machines' object footprints
-	// (verdict-preserving only, and requires the compiled form).
+	// (verdict-preserving only).
 	Reduce run.ReduceMode
 }
 
@@ -237,25 +232,25 @@ func observable(kind fault.Kind, op fault.Op) bool {
 }
 
 // prepare validates the configuration and resolves the effective fault
-// kind, execution cap, and execution form — shared by the sequential
-// checker and the parallel engine.
-func (cfg *Config) prepare() (kind fault.Kind, cap int, compiled bool, err error) {
+// kind and execution cap — shared by the sequential checker and the
+// parallel engine. The protocol must provide its compiled form: every
+// replay runs it.
+func (cfg *Config) prepare() (kind fault.Kind, cap int, err error) {
 	if cfg.Protocol == nil {
-		return 0, 0, false, fmt.Errorf("explore: no protocol")
+		return 0, 0, fmt.Errorf("explore: no protocol")
 	}
 	if len(cfg.Inputs) == 0 {
-		return 0, 0, false, fmt.Errorf("explore: no inputs")
+		return 0, 0, fmt.Errorf("explore: no inputs")
+	}
+	if err := run.RequireSteppable(cfg.Protocol); err != nil {
+		return 0, 0, err
 	}
 	kind = cfg.Kind
 	if kind == fault.None {
 		kind = fault.Overriding
 	}
 	if cfg.FixedPolicy == nil && kind != fault.Overriding && kind != fault.Silent {
-		return 0, 0, false, fmt.Errorf("explore: unsupported fault kind %v", kind)
-	}
-	compiled, err = run.ResolveExec(cfg.Exec, cfg.Protocol)
-	if err != nil {
-		return 0, 0, false, err
+		return 0, 0, fmt.Errorf("explore: unsupported fault kind %v", kind)
 	}
 	if cfg.Reduce != run.ReduceOff {
 		if cfg.FixedPolicy != nil {
@@ -263,21 +258,18 @@ func (cfg *Config) prepare() (kind fault.Kind, cap int, compiled bool, err error
 			// checker's own fault branches (observable ∧ admitted); an
 			// opaque policy could fire faults the purity predicate does
 			// not see.
-			return 0, 0, false, fmt.Errorf("explore: partial-order reduction requires the checker's own fault policy, not FixedPolicy")
-		}
-		if cfg.Reduce == run.ReduceAggressive && !compiled {
-			return 0, 0, false, fmt.Errorf("explore: aggressive reduction needs object footprints from the compiled step machines; %s has no Stepper or the interpreted form was forced", cfg.Protocol.Name())
+			return 0, 0, fmt.Errorf("explore: partial-order reduction requires the checker's own fault policy, not FixedPolicy")
 		}
 		if len(cfg.Inputs) > 64 {
 			// The reducer's sleep and persistent sets are process bitmasks.
-			return 0, 0, false, fmt.Errorf("explore: partial-order reduction supports at most 64 processes, got %d", len(cfg.Inputs))
+			return 0, 0, fmt.Errorf("explore: partial-order reduction supports at most 64 processes, got %d", len(cfg.Inputs))
 		}
 	}
 	cap = cfg.MaxExecutions
 	if cap <= 0 {
 		cap = DefaultMaxExecutions
 	}
-	return kind, cap, compiled, nil
+	return kind, cap, nil
 }
 
 // ConfigFrom converts the unified settings to an exploration Config.
@@ -291,7 +283,6 @@ func ConfigFrom(s *run.Settings) Config {
 		FixedPolicy:     s.Policy,
 		MaxExecutions:   s.MaxExecutions,
 		StepLimit:       s.StepLimit,
-		Exec:            s.Exec,
 		Reduce:          s.Reduce,
 	}
 }
@@ -425,15 +416,14 @@ func JoinLedger(cfg Config, s *run.Settings, exhaustive, dedup bool) (*ledger.Le
 // It is the sequential reference implementation: the parallel Engine
 // enumerates the same leaves and is checked against it.
 func Check(cfg Config) (*Outcome, error) {
-	kind, cap, compiled, err := cfg.prepare()
+	kind, cap, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
 
 	out := &Outcome{Workers: 1}
 	c := &chooser{}
-	es := newExecState(cfg, kind, compiled, c, nil)
-	defer es.close()
+	es := newExecState(cfg, kind, c, nil)
 	for out.Executions < cap {
 		c.arity = c.arity[:0]
 		c.pos = 0
@@ -483,18 +473,14 @@ type runStats struct {
 
 // execState is the reusable replay machinery of one enumeration loop (one
 // sequential Check, or one engine worker): the fault budget, the object
-// bank, the simulator arena with its pre-bound programs, the trace log, the
-// schedule buffer, and the verdict evaluator. All of it is allocated once
-// and reset per leaf — replaying a leaf used to allocate ~84 objects
-// (closures, bank, channels, goroutines, slices); at millions of leaves the
-// allocator and scheduler churn dominated the engine's profile and made
-// worker scaling negative.
+// bank, the protocol's step machines on the stepped runner, the trace log,
+// the schedule buffer, and the verdict evaluator. All of it is allocated
+// once and reset per leaf, so replays allocate nothing on their hot path.
 type execState struct {
-	cfg  Config
-	kind fault.Kind
-	c    *chooser
-	dh   *dedupHandle // nil without dedup
-	red  *reducer     // nil without partial-order reduction
+	cfg Config
+	c   *chooser
+	dh  *dedupHandle // nil without dedup
+	red *reducer     // nil without partial-order reduction
 
 	// tracker is the single canonical-state observer of the replay,
 	// present whenever dedup or reduction is on (shared by both).
@@ -511,36 +497,19 @@ type execState struct {
 	schedule []int
 	eval     *run.Evaluator
 
-	// Goroutine-gated reference form (compiled == false).
-	arena  *sim.Arena
-	simCfg sim.Config
-
-	// Compiled form (compiled == true): the protocol's step machines on
-	// the single-goroutine stepped runner.
-	compiled   bool
 	stepped    *sim.Stepped
 	steppedCfg sim.SteppedConfig
 }
 
 // newExecState builds the replay machinery for one enumeration loop driven
-// by the given chooser. compiled must come from Config.prepare (callers may
-// not request a compiled form the protocol does not provide). Callers must
-// close the state to release the arena's goroutines (a no-op on the
-// compiled path, which holds none).
-func newExecState(cfg Config, kind fault.Kind, compiled bool, c *chooser, dh *dedupHandle) *execState {
-	es := &execState{cfg: cfg, kind: kind, compiled: compiled, c: c, dh: dh}
+// by the given chooser. cfg must have passed Config.prepare, which
+// guarantees the protocol's compiled form exists.
+func newExecState(cfg Config, kind fault.Kind, c *chooser, dh *dedupHandle) *execState {
+	es := &execState{cfg: cfg, c: c, dh: dh}
 	es.budget = fault.NewFixedBudget(cfg.FaultyObjects, cfg.FaultsPerObject)
 	policy := cfg.FixedPolicy
 	if policy == nil {
-		policy = fault.PolicyFunc(func(op fault.Op) fault.Proposal {
-			if !es.budget.Admits(op.Object) || !observable(es.kind, op) {
-				return fault.NoFault
-			}
-			if es.c.choose(2) == 1 {
-				return fault.Proposal{Kind: es.kind}
-			}
-			return fault.NoFault
-		})
+		policy = choicePolicy(es.budget, kind, c)
 	}
 	es.bank = object.NewBank(cfg.Protocol.Objects(), es.budget, policy)
 	es.log = trace.New()
@@ -563,39 +532,37 @@ func newExecState(cfg Config, kind fault.Kind, compiled bool, c *chooser, dh *de
 	if es.tracker != nil {
 		observer = es.tracker.Observe
 	}
-	if compiled {
-		stepper, ok := core.Compile(cfg.Protocol)
-		if !ok {
-			panic(fmt.Sprintf("explore: compiled execution of %s, which has no Stepper", cfg.Protocol.Name()))
-		}
-		prog := run.NewSteppedExec(stepper, es.bank, cfg.Inputs)
-		if es.red != nil {
-			es.red.pendingOf = prog.Pending
-			es.red.footprintOf = prog.Footprint
-		}
-		es.stepped = sim.NewStepped(len(cfg.Inputs))
-		es.steppedCfg = sim.SteppedConfig{
-			Procs:     len(cfg.Inputs),
-			Program:   prog,
-			Scheduler: sim.SchedulerFunc(es.schedNext),
-			StepLimit: limit,
-			Log:       es.log,
-			Observer:  observer,
-		}
-		return es
-	}
-	es.arena = sim.NewArena(len(cfg.Inputs))
+	stepper, _ := core.Compile(cfg.Protocol)
+	prog := run.NewSteppedExec(stepper, es.bank, cfg.Inputs)
 	if es.red != nil {
-		es.red.pendingOf = es.arena.Pending
+		es.red.pendingOf = prog.Pending
+		es.red.footprintOf = prog.Footprint
 	}
-	es.simCfg = sim.Config{
-		Programs:  run.BoundPrograms(cfg.Protocol, es.bank, cfg.Inputs, es.arena.Procs()),
+	es.stepped = sim.NewStepped(len(cfg.Inputs))
+	es.steppedCfg = sim.SteppedConfig{
+		Procs:     len(cfg.Inputs),
+		Program:   prog,
 		Scheduler: sim.SchedulerFunc(es.schedNext),
 		StepLimit: limit,
 		Log:       es.log,
 		Observer:  observer,
 	}
 	return es
+}
+
+// choicePolicy is the checker's own fault policy: every observable CAS on
+// an object the budget still admits is a binary branch point of the
+// chooser (1 = inject the fault).
+func choicePolicy(budget *fault.Budget, kind fault.Kind, c *chooser) fault.Policy {
+	return fault.PolicyFunc(func(op fault.Op) fault.Proposal {
+		if !budget.Admits(op.Object) || !observable(kind, op) {
+			return fault.NoFault
+		}
+		if c.choose(2) == 1 {
+			return fault.Proposal{Kind: kind}
+		}
+		return fault.NoFault
+	})
 }
 
 // schedNext is the replay scheduler: it folds the previous step into the
@@ -647,14 +614,6 @@ func (es *execState) schedNext(enabled []int) (int, bool) {
 	return pick, true
 }
 
-// close releases the arena's process goroutines (no-op on the compiled
-// path, which runs on the calling goroutine).
-func (es *execState) close() {
-	if es.arena != nil {
-		es.arena.Close()
-	}
-}
-
 // runLeaf replays one execution along the chooser's path, reusing the
 // execState's machinery. When dedup or reduction is on and the replay
 // reaches a state already claimed by a lexicographically smaller path (or a
@@ -663,9 +622,9 @@ func (es *execState) close() {
 // evaluated nor counted — any violation visible in the halted prefix also
 // appears below a smaller path.
 //
-// The returned verdict borrows slices owned by the arena and the execState;
-// callers retaining a leaf (violations, trace samples) must go through
-// counterexample, which clones everything.
+// The returned verdict borrows slices owned by the stepped runner and the
+// execState; callers retaining a leaf (violations, trace samples) must go
+// through counterexample, which clones everything.
 func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, error) {
 	es.budget.Reset()
 	es.bank.Reset()
@@ -679,13 +638,7 @@ func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, 
 		es.red.reset()
 	}
 
-	var res *sim.Result
-	var err error
-	if es.compiled {
-		res, err = es.stepped.Run(ctx, es.steppedCfg)
-	} else {
-		res, err = es.arena.Run(ctx, es.simCfg)
-	}
+	res, err := es.stepped.Run(ctx, es.steppedCfg)
 	if err != nil && res == nil {
 		return run.Verdict{}, runStats{}, false, err
 	}
@@ -698,13 +651,19 @@ func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, 
 		return run.Verdict{}, runStats{}, true, nil
 	}
 
-	stats := runStats{faults: es.budget.TotalFaults()}
+	return es.eval.Evaluate(res, err), statsOf(res, es.budget), false, nil
+}
+
+// statsOf tallies one finished execution: its largest per-process step
+// count and the faults it consumed.
+func statsOf(res *sim.Result, budget *fault.Budget) runStats {
+	stats := runStats{faults: budget.TotalFaults()}
 	for _, s := range res.Steps {
 		if s > stats.maxSteps {
 			stats.maxSteps = s
 		}
 	}
-	return es.eval.Evaluate(res, err), stats, false, nil
+	return stats
 }
 
 // counterexample snapshots the most recent runLeaf as a self-contained

@@ -35,7 +35,7 @@ const exportLowWater = 4
 // executions, its best counterexample candidate); the global verdict is
 // the ledger merge (FinalizeLedger), identical to a single-process run.
 func (e *Engine) checkLedger(ctx context.Context, cfg Config) (*Outcome, error) {
-	kind, cap, compiled, err := cfg.prepare()
+	kind, cap, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func (e *Engine) checkLedger(ctx context.Context, cfg Config) (*Outcome, error) 
 	e.Ledger.Instrument(reg, e.Events)
 
 	pr := &ledgerProcess{
-		eng: e, cfg: cfg, kind: kind, compiled: compiled,
+		eng: e, cfg: cfg, kind: kind,
 		cap: cap, workers: workers, leaseSize: leaseSize,
 		m: m, set: set, reg: reg, ev: e.Events, start: time.Now(),
 	}
@@ -169,7 +169,6 @@ type ledgerProcess struct {
 	eng       *Engine
 	cfg       Config
 	kind      fault.Kind
-	compiled  bool
 	cap       int
 	workers   int
 	leaseSize int64
@@ -272,7 +271,6 @@ func (pr *ledgerProcess) runClaim(ctx context.Context, lease *ledger.Lease) (*cl
 	r := &engineRun{
 		cfg:         pr.cfg,
 		kind:        pr.kind,
-		compiled:    pr.compiled,
 		cap:         pr.cap,
 		stopOnFirst: !pr.eng.Exhaustive,
 		// Overfill the local frontier by the ledger's low-water mark so

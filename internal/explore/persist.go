@@ -13,7 +13,9 @@ import (
 // explorations with equal manifests (by store.Manifest.Hash) enumerate the
 // same execution tree, so resuming one from the other's checkpoint is sound;
 // everything else (worker count, dedup, execution cap) is recorded as
-// advisory metadata only.
+// advisory metadata only. Every exploration runs the compiled form; its
+// label stays hashed, so a run directory explored by the goroutine form an
+// older build could select ("interpreted") is refused on resume.
 func ManifestFor(cfg Config, exhaustive, dedupOn bool) (store.Manifest, error) {
 	if cfg.Protocol == nil {
 		return store.Manifest{}, fmt.Errorf("explore: no protocol")
@@ -22,17 +24,13 @@ func ManifestFor(cfg Config, exhaustive, dedupOn bool) (store.Manifest, error) {
 	if kind == fault.None {
 		kind = fault.Overriding
 	}
-	compiled, err := run.ResolveExec(cfg.Exec, cfg.Protocol)
-	if err != nil {
-		return store.Manifest{}, err
-	}
 	reduce := ""
 	if cfg.Reduce != run.ReduceOff {
 		reduce = cfg.Reduce.String()
 	}
 	return store.Manifest{
 		Engine:          "explore.Engine",
-		Exec:            run.ExecLabel(compiled),
+		Exec:            "compiled",
 		Reduce:          reduce,
 		Protocol:        cfg.Protocol.Name(),
 		Objects:         cfg.Protocol.Objects(),

@@ -4,7 +4,6 @@ import (
 	"repro/internal/dedup"
 	"repro/internal/fault"
 	"repro/internal/run"
-	"repro/internal/sim"
 	"repro/internal/word"
 )
 
@@ -14,9 +13,9 @@ import (
 // sets computed from the step machines' object footprints.
 //
 // The model makes the classical theory unusually concrete. A transition is
-// one granted step of a parked process, and every parked process publishes
-// the CAS it is about to issue (sim.PendingOp) before it parks. Two pending
-// operations are independent iff they touch disjoint objects, or they touch
+// one granted step of a process, and every process's step machine declares
+// the CAS it is about to issue (run.PendingOp) before it is granted. Two
+// pending operations are independent iff they touch disjoint objects, or they touch
 // the same object and both are pure reads — a CAS that can neither change
 // the register nor consume fault budget in the current state:
 //
@@ -49,15 +48,15 @@ type reducer struct {
 	n           int
 	tracker     *dedup.Tracker
 	budget      *fault.Budget
-	pendingOf   func(id int) sim.PendingOp
-	footprintOf func(id int) (lo, hi int) // nil on the interpreted form
+	pendingOf   func(id int) run.PendingOp
+	footprintOf func(id int) (lo, hi int)
 
 	// Per-replay descent state. sleep is the current sleep set (bit per
 	// process); the last* fields describe the step granted at the previous
 	// decision, folded into sleep lazily at the next decision (advance).
 	sleep     uint64
 	lastValid bool
-	lastOp    sim.PendingOp
+	lastOp    run.PendingOp
 	preReg    word.Word
 	preTotal  int
 	earlier   []int // kept candidates preceding the chosen one
@@ -82,10 +81,7 @@ func (r *reducer) reset() {
 // pure reports that executing op in the current state can neither change
 // its object's register nor consume fault budget — the operation is
 // invisible to every other process.
-func (r *reducer) pure(op sim.PendingOp) bool {
-	if !op.Known {
-		return false
-	}
+func (r *reducer) pure(op run.PendingOp) bool {
 	reg := r.tracker.Register(op.Obj)
 	if op.New == reg {
 		// Whether it succeeds or fails, the register keeps its value, and
@@ -112,18 +108,11 @@ func (r *reducer) advance() {
 	if !r.lastValid {
 		return
 	}
-	lastPure := r.lastOp.Known &&
-		r.tracker.Register(r.lastOp.Obj) == r.preReg &&
+	lastPure := r.tracker.Register(r.lastOp.Obj) == r.preReg &&
 		r.budget.TotalFaults() == r.preTotal
 	var next uint64
 	consider := func(q int) {
-		if !r.lastOp.Known {
-			return
-		}
 		qOp := r.pendingOf(q)
-		if !qOp.Known {
-			return
-		}
 		if qOp.Obj != r.lastOp.Obj || (lastPure && r.pure(qOp)) {
 			next |= 1 << uint(q)
 		}
@@ -178,9 +167,8 @@ func (r *reducer) candidates(enabled []int) []int {
 // footprint intersects a member's footprint joins, to a fixpoint. A
 // candidate left outside can only ever touch objects disjoint from every
 // member's future, so all its steps commute with the member subtrees and
-// exploring it separately proves nothing new about the verdict. Requires
-// the compiled form (prepare refuses otherwise): footprints come from the
-// step machines' states.
+// exploring it separately proves nothing new about the verdict. Footprints
+// come from the step machines' states.
 func (r *reducer) persist(cand []int) []int {
 	in := uint64(1) << uint(cand[0])
 	for changed := true; changed; {
@@ -220,9 +208,7 @@ func (r *reducer) chose(cand []int, idx int) {
 	r.earlier = append(r.earlier[:0], cand[:idx]...)
 	pick := cand[idx]
 	r.lastOp = r.pendingOf(pick)
-	if r.lastOp.Known {
-		r.preReg = r.tracker.Register(r.lastOp.Obj)
-	}
+	r.preReg = r.tracker.Register(r.lastOp.Obj)
 	r.preTotal = r.budget.TotalFaults()
 	r.lastValid = true
 }

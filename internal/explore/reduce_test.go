@@ -22,7 +22,7 @@ type reduceCase struct {
 
 // reduceCases covers every protocol family, clean and violating, with the
 // checker's own fault policy (the only policy reduction supports) — the
-// same matrix the compiled-vs-interpreted differential sweeps.
+// same matrix the compiled-vs-reference differential sweeps.
 func reduceCases() []reduceCase {
 	return []reduceCase{
 		{"single-cas-clean", Config{
@@ -129,8 +129,8 @@ func diffReduced(full, red *Outcome, exact bool) string {
 }
 
 // TestReduceMatchesFull is the reduction-equivalence gate (scripts/check.sh
-// runs it by name): for every protocol family, clean and violating, on both
-// execution forms, the reduced exploration must report the same verdict,
+// runs it by name): for every protocol family, clean and violating, the
+// reduced exploration must report the same verdict,
 // the same completeness, and — in default mode with distinct inputs, where
 // symmetry skipping cannot fire — the exact same lex-least counterexample
 // (schedule, decisions, trace) as the full exploration, with no more
@@ -138,43 +138,40 @@ func diffReduced(full, red *Outcome, exact bool) string {
 func TestReduceMatchesFull(t *testing.T) {
 	for _, tc := range reduceCases() {
 		tc := tc
-		for _, exec := range []run.ExecMode{run.ExecInterpreted, run.ExecCompiled} {
-			exec := exec
-			t.Run(fmt.Sprintf("%s/%s", tc.name, exec), func(t *testing.T) {
-				t.Parallel()
-				base := tc.cfg
-				base.Exec = exec
-				base.MaxExecutions = 2_000_000
+		// The subtests keep their "/compiled" suffix, the form every
+		// exploration runs, so gate logs stay comparable.
+		t.Run(tc.name+"/compiled", func(t *testing.T) {
+			t.Parallel()
+			base := tc.cfg
+			base.MaxExecutions = 2_000_000
 
-				full := mustCheck(t, base)
-				reduced := base
-				reduced.Reduce = run.ReduceSafe
-				red := mustCheck(t, reduced)
+			full := mustCheck(t, base)
+			reduced := base
+			reduced.Reduce = run.ReduceSafe
+			red := mustCheck(t, reduced)
 
-				if tc.violate == full.OK() {
-					t.Fatalf("reference sweep: violation=%v, want %v", !full.OK(), tc.violate)
-				}
-				if d := diffReduced(full, red, true); d != "" {
-					t.Fatal(d)
-				}
-				t.Logf("%d executions full, %d reduced (%.2fx)",
-					full.Executions, red.Executions,
-					float64(full.Executions)/float64(red.Executions))
-			})
-		}
+			if tc.violate == full.OK() {
+				t.Fatalf("reference sweep: violation=%v, want %v", !full.OK(), tc.violate)
+			}
+			if d := diffReduced(full, red, true); d != "" {
+				t.Fatal(d)
+			}
+			t.Logf("%d executions full, %d reduced (%.2fx)",
+				full.Executions, red.Executions,
+				float64(full.Executions)/float64(red.Executions))
+		})
 	}
 }
 
 // TestReduceAggressiveKeepsVerdict pins aggressive mode's weaker contract:
 // same verdict and completeness as the full sweep, never more executions
-// than safe mode, on the compiled form it requires.
+// than safe mode.
 func TestReduceAggressiveKeepsVerdict(t *testing.T) {
 	for _, tc := range reduceCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			base := tc.cfg
-			base.Exec = run.ExecCompiled
 			base.MaxExecutions = 2_000_000
 
 			full := mustCheck(t, base)
@@ -195,21 +192,7 @@ func TestReduceAggressiveKeepsVerdict(t *testing.T) {
 	}
 }
 
-// TestReduceAggressiveRefusesInterpreted pins prepare's gate: persistent
-// sets need the step machines' footprints.
-func TestReduceAggressiveRefusesInterpreted(t *testing.T) {
-	_, err := Check(Config{
-		Protocol: core.SingleCAS{},
-		Inputs:   inputs(2),
-		Exec:     run.ExecInterpreted,
-		Reduce:   run.ReduceAggressive,
-	})
-	if err == nil {
-		t.Fatal("aggressive reduction on the interpreted form must be refused")
-	}
-}
-
-// TestReduceRefusesFixedPolicy pins prepare's other gate: the reducer
+// TestReduceRefusesFixedPolicy pins prepare's gate: the reducer
 // reasons about the checker's own fault branches, not an opaque policy's.
 func TestReduceRefusesFixedPolicy(t *testing.T) {
 	_, err := Check(Config{

@@ -9,13 +9,12 @@ import "context"
 // event — the standard way to inspect, shrink, or export a violation found
 // during exploration.
 func Replay(cfg Config, path []int) (*Counterexample, error) {
-	kind, _, compiled, err := cfg.prepare()
+	kind, _, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
 	c := &chooser{path: append([]int(nil), path...)}
-	es := newExecState(cfg, kind, compiled, c, nil)
-	defer es.close()
+	es := newExecState(cfg, kind, c, nil)
 	verdict, _, _, err := es.runLeaf(context.Background())
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -52,37 +53,36 @@ func SampleWith(seed int64, opts ...run.Option) (*Counterexample, error) {
 // complement to Check for configurations whose trees are too large to
 // enumerate; a deterministic seed makes the whole batch replayable.
 func Stress(cfg Config, runs int, seed int64) (*StressOutcome, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("explore: no protocol")
-	}
-	if len(cfg.Inputs) == 0 {
-		return nil, fmt.Errorf("explore: no inputs")
-	}
-	kind := cfg.Kind
-	if kind == fault.None {
-		kind = fault.Overriding
+	kind, err := cfg.sampleKind()
+	if err != nil {
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(seed))
 	out := &StressOutcome{}
 	for i := 0; i < runs; i++ {
-		ce, verdict, stats, err := stressOnce(cfg, kind, rng)
+		ce, verdict, stats, err := sampleOnce(cfg, kind, rng, uniform(rng))
 		if err != nil {
 			return nil, err
 		}
-		out.Runs++
-		out.TotalFaults += stats.faults
-		if stats.maxSteps > out.MaxProcSteps {
-			out.MaxProcSteps = stats.maxSteps
-		}
-		if !verdict.OK() {
-			out.Violations++
-			if out.First == nil {
-				out.First = ce
-			}
-		}
+		out.add(ce, verdict, stats)
 	}
 	return out, nil
+}
+
+// add folds one sampled execution into the outcome.
+func (o *StressOutcome) add(ce *Counterexample, verdict run.Verdict, stats runStats) {
+	o.Runs++
+	o.TotalFaults += stats.faults
+	if stats.maxSteps > o.MaxProcSteps {
+		o.MaxProcSteps = stats.maxSteps
+	}
+	if !verdict.OK() {
+		o.Violations++
+		if o.First == nil {
+			o.First = ce
+		}
+	}
 }
 
 // Sample runs one uniformly random execution (scheduling and fault
@@ -90,21 +90,44 @@ func Stress(cfg Config, runs int, seed int64) (*StressOutcome, error) {
 // verdict, schedule, and trace. Use it to tally violation kinds over many
 // seeds where Stress's aggregate view is not enough.
 func Sample(cfg Config, seed int64) (*Counterexample, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("explore: no protocol")
+	kind, err := cfg.sampleKind()
+	if err != nil {
+		return nil, err
 	}
-	if len(cfg.Inputs) == 0 {
-		return nil, fmt.Errorf("explore: no inputs")
-	}
-	kind := cfg.Kind
-	if kind == fault.None {
-		kind = fault.Overriding
-	}
-	ce, _, _, err := stressOnce(cfg, kind, rand.New(rand.NewSource(seed)))
+	rng := rand.New(rand.NewSource(seed))
+	ce, _, _, err := sampleOnce(cfg, kind, rng, uniform(rng))
 	return ce, err
 }
 
-func stressOnce(cfg Config, kind fault.Kind, rng *rand.Rand) (*Counterexample, run.Verdict, runStats, error) {
+// sampleKind validates a sampling configuration and resolves its fault
+// kind.
+func (cfg *Config) sampleKind() (fault.Kind, error) {
+	if cfg.Protocol == nil {
+		return 0, fmt.Errorf("explore: no protocol")
+	}
+	if len(cfg.Inputs) == 0 {
+		return 0, fmt.Errorf("explore: no inputs")
+	}
+	if err := run.RequireSteppable(cfg.Protocol); err != nil {
+		return 0, err
+	}
+	if cfg.Kind == fault.None {
+		return fault.Overriding, nil
+	}
+	return cfg.Kind, nil
+}
+
+// uniform is the random-walk scheduler: every step grants a uniformly
+// chosen enabled process.
+func uniform(rng *rand.Rand) sim.Scheduler {
+	return sim.SchedulerFunc(func(enabled []int) (int, bool) {
+		return enabled[rng.Intn(len(enabled))], true
+	})
+}
+
+// sampleOnce runs one execution scheduled by sched, with every admissible
+// observable fault injected or not by a coin drawn from rng.
+func sampleOnce(cfg Config, kind fault.Kind, rng *rand.Rand, sched sim.Scheduler) (*Counterexample, run.Verdict, runStats, error) {
 	budget := fault.NewFixedBudget(cfg.FaultyObjects, cfg.FaultsPerObject)
 	policy := fault.PolicyFunc(func(op fault.Op) fault.Proposal {
 		if !budget.Admits(op.Object) || !observable(kind, op) {
@@ -118,33 +141,22 @@ func stressOnce(cfg Config, kind fault.Kind, rng *rand.Rand) (*Counterexample, r
 
 	bank := object.NewBank(cfg.Protocol.Objects(), budget, policy)
 	var schedule []int
-	sched := sim.SchedulerFunc(func(enabled []int) (int, bool) {
-		pick := enabled[rng.Intn(len(enabled))]
-		schedule = append(schedule, pick)
-		return pick, true
-	})
-
-	limit := cfg.StepLimit
-	if limit <= 0 {
-		limit = cfg.Protocol.StepBound(len(cfg.Inputs))
-	}
 	log := trace.New()
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(cfg.Protocol, bank, cfg.Inputs),
-		Scheduler: sched,
-		StepLimit: limit,
+	res, err := run.Simulate(context.Background(), cfg.Protocol, bank, cfg.Inputs, sim.SteppedConfig{
+		Scheduler: sim.SchedulerFunc(func(enabled []int) (int, bool) {
+			pick, ok := sched.Next(enabled)
+			if ok {
+				schedule = append(schedule, pick)
+			}
+			return pick, ok
+		}),
+		StepLimit: cfg.StepLimit,
 		Log:       log,
 	})
 	if err != nil && res == nil {
 		return nil, run.Verdict{}, runStats{}, err
 	}
 
-	stats := runStats{faults: budget.TotalFaults()}
-	for _, s := range res.Steps {
-		if s > stats.maxSteps {
-			stats.maxSteps = s
-		}
-	}
 	verdict := run.Evaluate(cfg.Inputs, res, err)
 	ce := &Counterexample{
 		Schedule: schedule,
@@ -152,5 +164,5 @@ func stressOnce(cfg Config, kind fault.Kind, rng *rand.Rand) (*Counterexample, r
 		Trace:    log,
 		Inputs:   cfg.Inputs,
 	}
-	return ce, verdict, stats, nil
+	return ce, verdict, statsOf(res, budget), nil
 }

@@ -83,7 +83,7 @@ func checkAllSubsets(cfg Config, f int, check func(Config) (*Outcome, error)) (*
 // schedule, or nil if none exists. Use it on small configurations to
 // extract the crispest counterexample for a report; Check is the fast path.
 func FindMinimal(cfg Config) (*Counterexample, *Outcome, error) {
-	kind, cap, compiled, err := cfg.prepare()
+	kind, cap, err := cfg.prepare()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,8 +91,7 @@ func FindMinimal(cfg Config) (*Counterexample, *Outcome, error) {
 	out := &Outcome{Workers: 1}
 	var best *Counterexample
 	c := &chooser{}
-	es := newExecState(cfg, kind, compiled, c, nil)
-	defer es.close()
+	es := newExecState(cfg, kind, c, nil)
 	for out.Executions < cap {
 		c.arity = c.arity[:0]
 		c.pos = 0

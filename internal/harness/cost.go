@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -25,14 +26,13 @@ type costConfig struct {
 	procs     int     // concurrent goroutines
 }
 
-// substrate runs one consensus instance on a run.Bank. Both substrates are
-// driven through the unified Bank interface, so the measurement loop —
-// construction, decide, op accounting, agreement check — is one code path
-// with no type switches.
+// substrate runs one consensus instance: it builds a fresh bank, lets
+// cfg.procs processes decide on it, and reports the decisions and the CAS
+// invocations the bank counted — uniformly across substrates, so the
+// measurement loop is one code path.
 type substrate struct {
-	name    string
-	newBank func(cfg costConfig, round int, seed int64) run.Bank
-	decide  func(bank run.Bank, cfg costConfig, round int, seed int64) ([]int64, error)
+	name string
+	run  func(cfg costConfig, round int, seed int64) (results []int64, ops int64, err error)
 }
 
 // realAtomics races native goroutines on the lock-free environment: the
@@ -40,29 +40,26 @@ type substrate struct {
 func realAtomics() substrate {
 	return substrate{
 		name: "atomics",
-		newBank: func(cfg costConfig, round int, seed int64) run.Bank {
+		run: func(cfg costConfig, round int, seed int64) ([]int64, int64, error) {
+			var bank *atomicx.Bank
 			if cfg.faulty > 0 {
-				return atomicx.NewFaultyBank(cfg.proto.Objects(),
+				bank = atomicx.NewFaultyBank(cfg.proto.Objects(),
 					fault.NewFixedBudget(objectIDs(cfg.faulty), cfg.boundedT),
 					cfg.faultRate, seed+int64(round))
+			} else {
+				bank = atomicx.NewBank(cfg.proto.Objects())
 			}
-			return atomicx.NewBank(cfg.proto.Objects())
-		},
-		decide: func(bank run.Bank, cfg costConfig, round int, seed int64) ([]int64, error) {
-			// Real atomics need no per-process binding: Bind returns the
-			// shared lock-free environment.
-			env := bank.Bind(nil)
 			results := make([]int64, cfg.procs)
 			var wg sync.WaitGroup
 			for g := 0; g < cfg.procs; g++ {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					results[g] = cfg.proto.Decide(env, int64(100+g))
+					results[g] = cfg.proto.Decide(bank, int64(100+g))
 				}(g)
 			}
 			wg.Wait()
-			return results, nil
+			return results, bank.Ops(), nil
 		},
 	}
 }
@@ -73,35 +70,30 @@ func realAtomics() substrate {
 func simulated() substrate {
 	return substrate{
 		name: "simulator",
-		newBank: func(cfg costConfig, round int, seed int64) run.Bank {
+		run: func(cfg costConfig, round int, seed int64) ([]int64, int64, error) {
 			policy := fault.Never()
 			if cfg.faulty > 0 {
 				policy = fault.Rate(fault.Overriding, cfg.faultRate, seed+int64(round))
 			}
-			return object.NewBank(cfg.proto.Objects(),
+			bank := object.NewBank(cfg.proto.Objects(),
 				fault.NewFixedBudget(objectIDs(cfg.faulty), cfg.boundedT), policy)
-		},
-		decide: func(bank run.Bank, cfg costConfig, round int, seed int64) ([]int64, error) {
 			inputs := make([]int64, cfg.procs)
 			for g := range inputs {
 				inputs[g] = int64(100 + g)
 			}
-			res, err := sim.Run(sim.Config{
-				Programs:  run.Programs(cfg.proto, bank, inputs),
-				Scheduler: sim.NewRandom(seed + int64(round)),
-				StepLimit: cfg.proto.StepBound(cfg.procs),
-			})
+			res, err := run.Simulate(context.Background(), cfg.proto, bank, inputs,
+				sim.SteppedConfig{Scheduler: sim.NewRandom(seed + int64(round))})
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			results := make([]int64, cfg.procs)
 			for g := range results {
 				if !res.Decided[g] {
-					return nil, fmt.Errorf("process %d did not decide", g)
+					return nil, 0, fmt.Errorf("process %d did not decide", g)
 				}
 				results[g] = res.Decisions[g].Value()
 			}
-			return results, nil
+			return results, bank.Ops(), nil
 		},
 	}
 }
@@ -113,12 +105,11 @@ func measureCost(cfg costConfig, sub substrate, rounds int, seed int64) (nsPerDe
 	var totalOps int64
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
-		bank := sub.newBank(cfg, r, seed)
-		results, err := sub.decide(bank, cfg, r, seed)
+		results, ops, err := sub.run(cfg, r, seed)
 		if err != nil {
 			return 0, 0, fmt.Errorf("round %d (%s/%s): %w", r, cfg.name, sub.name, err)
 		}
-		totalOps += bank.Ops()
+		totalOps += ops
 		for g := 1; g < len(results); g++ {
 			if results[g] != results[0] {
 				return 0, 0, fmt.Errorf("round %d: disagreement %v under %s/%s",
@@ -138,7 +129,7 @@ func measureCost(cfg costConfig, sub substrate, rounds int, seed int64) (nsPerDe
 // for its stage budget t·(4f+f²) — the price of surviving with zero
 // reliable objects. Each configuration is measured on real atomics and,
 // at the lowest concurrency, cross-checked on the simulator through the
-// same unified bank code path.
+// same measurement loop.
 func runE8(w io.Writer, opts Options) error {
 	rounds := 3000
 	simRounds := 300

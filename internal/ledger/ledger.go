@@ -14,7 +14,7 @@
 //
 //	ledger/ledger.json          marker: ledger epoch, lease TTL
 //	ledger/tasks/task-<id>.json unclaimed subtree tasks
-//	ledger/leases/lease-<id>.json
+//	ledger/leases/lease-<id>-e<epoch>.json
 //	ledger/results/result-<id>-e<epoch>.json
 //
 // A task is a subtree of the execution tree — a choice-path prefix plus a
@@ -26,17 +26,19 @@
 //
 // Every commit is either a hard link of a fully-written, fsync'd temp file
 // (claim, publish, re-enqueue, init — link fails atomically with ErrExist
-// when someone else won) or an atomic rename (lease renewal, the only
-// mutable record). Task and result files are immutable for their lifetime:
-// an epoch bump is a NEW link of the task file created only while the name
-// is absent, so whatever a claimer read is exactly what it claimed.
+// when someone else won) or an atomic rename (lease renewal, and a
+// re-enqueue replacing a task file left at a lower epoch). A lease file is
+// named by (id, epoch), so each epoch of a subtree is claimed at most once
+// and an expired lease is removed by its exact name, never a successor's.
+// A claimer re-reads the task after linking its lease and yields if the
+// task moved on since its listing.
 //
-//	claim    read task@e → link lease(owner, expiry) → unlink task
+//	claim    read task@e → link lease@e(owner, expiry) → task still @e? → unlink task
 //	renew    verify owner+epoch, fence-check, rename new expiry
-//	release  link result-<id>-e<e> (exclusive) → unlink lease
-//	abandon  link task@e+1 (supersedes) → unlink lease
+//	release  link result-<id>-e<e> (exclusive) → unlink lease@e
+//	abandon  enqueue task@e+1 (supersedes) → unlink lease@e
 //	export   link task for a carved-out child subtree, lineage = parent+self
-//	reclaim  expired lease: link task@e+1 (preserving lineage) → unlink lease
+//	reclaim  expired lease@e: enqueue task@e+1 (preserving lineage) → unlink lease@e
 //
 // # Fencing
 //
@@ -317,7 +319,7 @@ func countDir(dir string) int {
 	}
 	n := 0
 	for _, e := range ents {
-		if !strings.Contains(e.Name(), ".tmp") {
+		if committed(e.Name()) {
 			n++
 		}
 	}
@@ -325,12 +327,19 @@ func countDir(dir string) int {
 }
 
 func taskName(id string) string            { return "task-" + id + ".json" }
-func leaseName(id string) string           { return "lease-" + id + ".json" }
+func leaseName(id string, e int64) string  { return fmt.Sprintf("lease-%s-e%d.json", id, e) }
 func resultName(id string, e int64) string { return fmt.Sprintf("result-%s-e%d.json", id, e) }
 
 // parseResultName extracts (id, epoch) from a result file name.
-func parseResultName(name string) (string, int64, bool) {
-	rest, ok := strings.CutPrefix(name, "result-")
+func parseResultName(name string) (string, int64, bool) { return parseEpochName("result-", name) }
+
+// parseLeaseName extracts (id, epoch) from a lease file name.
+func parseLeaseName(name string) (string, int64, bool) { return parseEpochName("lease-", name) }
+
+// parseEpochName extracts (id, epoch) from a "<prefix><id>-e<epoch>.json"
+// file name.
+func parseEpochName(prefix, name string) (string, int64, bool) {
+	rest, ok := strings.CutPrefix(name, prefix)
 	if !ok {
 		return "", 0, false
 	}
@@ -353,8 +362,11 @@ func parseResultName(name string) (string, int64, bool) {
 // or appear between the listing and a follow-up read (every reader copes),
 // but within one state the supersession math is coherent.
 type scanState struct {
-	tasks   map[string]Task
+	tasks map[string]Task
+	// leases holds each subtree's highest-epoch lease; all holds every
+	// lease record, lower-epoch leftovers included, for the reaper.
 	leases  map[string]Lease
+	all     []Lease
 	results map[string][]int64 // id → epochs with a published result
 }
 
@@ -369,6 +381,9 @@ func (l *Ledger) scan() (*scanState, error) {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	for _, e := range tents {
+		if !committed(e.Name()) {
+			continue
+		}
 		var t Task
 		if readJSON(filepath.Join(l.dir, tasksDir, e.Name()), &t) && t.ID != "" {
 			st.tasks[t.ID] = t
@@ -379,9 +394,15 @@ func (l *Ledger) scan() (*scanState, error) {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	for _, e := range lents {
+		if !committed(e.Name()) {
+			continue
+		}
 		var ls Lease
 		if readJSON(filepath.Join(l.dir, leasesDir, e.Name()), &ls) && ls.ID != "" {
-			st.leases[ls.ID] = ls
+			st.all = append(st.all, ls)
+			if cur, ok := st.leases[ls.ID]; !ok || ls.Epoch > cur.Epoch {
+				st.leases[ls.ID] = ls
+			}
 		}
 	}
 	rents, err := os.ReadDir(filepath.Join(l.dir, resultsDir))
@@ -395,6 +416,13 @@ func (l *Ledger) scan() (*scanState, error) {
 	}
 	return st, nil
 }
+
+// committed reports whether a directory entry is a linked record rather
+// than the temp file it was written through: a participant killed between
+// writing and linking (or before removing the temp) leaves a complete,
+// parseable "<name>.json.tmp…" behind, which must never count as a task or
+// a lease — nothing ever removes it under the record's own name.
+func committed(name string) bool { return strings.HasSuffix(name, ".json") }
 
 // readJSON loads path into v, tolerating concurrent deletion and torn
 // listings: false means "treat as absent".
@@ -457,19 +485,42 @@ func (l *Ledger) linkTask(t Task) error {
 	return store.CreateExclusive(filepath.Join(l.dir, tasksDir), taskName(t.ID), data)
 }
 
+// linkLease claims (id, epoch) exclusively: the lease file name carries the
+// epoch, so at most one participant ever holds a given epoch of a subtree,
+// and removing an expired lease by name can never touch a successor's.
 func (l *Ledger) linkLease(ls Lease) error {
 	data, err := json.Marshal(&ls)
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	return store.CreateExclusive(filepath.Join(l.dir, leasesDir), leaseName(ls.ID), data)
+	return store.CreateExclusive(filepath.Join(l.dir, leasesDir), leaseName(ls.ID, ls.Epoch), data)
+}
+
+// enqueue offers t, replacing a task file left at an epoch no higher than
+// the one t supersedes (a claim that died before unlinking its task, or a
+// task re-linked from a stale listing). A task already at t's epoch or
+// above is left alone.
+func (l *Ledger) enqueue(t Task) error {
+	err := l.linkTask(t)
+	if !errors.Is(err, fs.ErrExist) {
+		return err
+	}
+	var cur Task
+	if readJSON(filepath.Join(l.dir, tasksDir, taskName(t.ID)), &cur) && cur.Epoch >= t.Epoch {
+		return nil
+	}
+	data, err := json.Marshal(&t)
+	if err != nil {
+		return fmt.Errorf("ledger: %w", err)
+	}
+	return store.WriteFileAtomic(filepath.Join(l.dir, tasksDir), taskName(t.ID), data)
 }
 
 // dropOwnLease removes the caller's lease file, but only after re-verifying
 // the on-disk record still names this owner at this epoch — never delete a
 // successor's lease.
 func (l *Ledger) dropOwnLease(ls *Lease) {
-	path := filepath.Join(l.dir, leasesDir, leaseName(ls.ID))
+	path := filepath.Join(l.dir, leasesDir, leaseName(ls.ID, ls.Epoch))
 	var cur Lease
 	if !readJSON(path, &cur) {
 		return
@@ -490,9 +541,17 @@ func (l *Ledger) fencedNow(ls *Lease) bool {
 		return true
 	}
 	var cur Lease
-	if readJSON(filepath.Join(l.dir, leasesDir, leaseName(ls.ID)), &cur) &&
-		(cur.Epoch > ls.Epoch || (cur.Epoch == ls.Epoch && cur.Owner != l.owner)) {
+	if readJSON(filepath.Join(l.dir, leasesDir, leaseName(ls.ID, ls.Epoch)), &cur) && cur.Owner != l.owner {
 		return true
+	}
+	lents, err := os.ReadDir(filepath.Join(l.dir, leasesDir))
+	if err != nil {
+		return false
+	}
+	for _, e := range lents {
+		if id, ep, ok := parseLeaseName(e.Name()); ok && id == ls.ID && ep > ls.Epoch {
+			return true
+		}
 	}
 	rents, err := os.ReadDir(filepath.Join(l.dir, resultsDir))
 	if err != nil {
@@ -512,6 +571,7 @@ func (l *Ledger) fencedNow(ls *Lease) bool {
 // while other participants still hold live leases (they may export
 // subtasks), and returns ErrDrained when no tasks and no leases remain.
 func (l *Ledger) Claim(ctx context.Context) (*Lease, error) {
+	confirming := false
 	for {
 		st, err := l.scan()
 		if err != nil {
@@ -537,7 +597,7 @@ func (l *Ledger) Claim(ctx context.Context) (*Lease, error) {
 				os.Remove(filepath.Join(l.dir, tasksDir, taskName(id)))
 				continue
 			}
-			if _, held := st.leases[id]; held {
+			if ls, held := st.leases[id]; held && ls.Epoch >= t.Epoch {
 				live++
 				continue // claimed and not expired (reap ran first)
 			}
@@ -554,6 +614,13 @@ func (l *Ledger) Claim(ctx context.Context) (*Lease, error) {
 				}
 				return nil, err
 			}
+			var cur Task
+			if !readJSON(filepath.Join(l.dir, tasksDir, taskName(id)), &cur) || cur.Epoch != t.Epoch {
+				// The listing was stale: another claim took this epoch and
+				// finished (or a reclaim bumped it) since the scan.
+				l.dropOwnLease(&ls)
+				continue
+			}
 			if err := os.Remove(filepath.Join(l.dir, tasksDir, taskName(id))); err != nil && !errors.Is(err, fs.ErrNotExist) {
 				// The claim stands (lease is linked); a claim-debris task
 				// file is cleaned up by later scans.
@@ -568,11 +635,25 @@ func (l *Ledger) Claim(ctx context.Context) (*Lease, error) {
 		}
 
 		if live == 0 && len(st.leases) == 0 {
-			if len(st.results) == 0 {
+			// A scan lists tasks/ before leases/, and a reap moves a record
+			// the other way (link task, then unlink lease), so one scan can
+			// miss a reclaimed subtree in flight. Conclude only from two
+			// consecutive scans that agree.
+			if !confirming {
+				confirming = true
+				continue
+			}
+			if len(st.results) > 0 {
+				return nil, ErrDrained
+			}
+			// The creator links the marker before it seeds the root task,
+			// so a joiner can see the marker alone; only a ledger that is
+			// still empty a TTL after its creation is broken.
+			if l.now().UnixNano()-l.epoch > int64(l.ttl) {
 				return nil, fmt.Errorf("ledger: empty ledger in %s (no tasks, leases, or results)", l.dir)
 			}
-			return nil, ErrDrained
 		}
+		confirming = false
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -584,29 +665,29 @@ func (l *Ledger) Claim(ctx context.Context) (*Lease, error) {
 // reap re-enqueues every expired lease at the next epoch so its subtree —
 // and, through lineage supersession, everything its dead owner exported —
 // is redone exactly once. A lease whose result already exists (the owner
-// died between publish and lease removal) or whose task file still exists
-// (died between lease link and task unlink) only needs the lease dropped.
+// died between publish and lease removal), or that a higher epoch of its
+// subtree already superseded, only needs its file dropped. Acting on a
+// stale listing is harmless: the lease file named by (id, epoch) is removed
+// by exact name, and a re-enqueue never lowers a task's epoch.
 func (l *Ledger) reap(st *scanState) (int, error) {
 	now := l.now().UnixNano()
 	n := 0
-	for id, ls := range st.leases {
+	for _, ls := range st.all {
 		if ls.ExpiresUnixNano > now {
 			continue
 		}
-		switch {
-		case st.resultAtOrAbove(id, ls.Epoch):
-			// Work completed; only cleanup was lost.
-		case func() bool { t, ok := st.tasks[id]; return ok && t.Epoch >= ls.Epoch }():
-			// Claim never got underway: the task file is still claimable.
-		default:
+		id := ls.ID
+		if !st.resultAtOrAbove(id, ls.Epoch) && st.maxEpoch(id) <= ls.Epoch {
 			bumped := Task{ID: id, Epoch: ls.Epoch + 1, Path: ls.Path, Floor: ls.Floor, Lineage: ls.Lineage}
-			if err := l.linkTask(bumped); err != nil && !errors.Is(err, fs.ErrExist) {
+			if err := l.enqueue(bumped); err != nil {
 				return n, err
 			}
 			st.tasks[id] = bumped
 		}
-		os.Remove(filepath.Join(l.dir, leasesDir, leaseName(id)))
-		delete(st.leases, id)
+		os.Remove(filepath.Join(l.dir, leasesDir, leaseName(id, ls.Epoch)))
+		if cur, ok := st.leases[id]; ok && cur.Epoch == ls.Epoch {
+			delete(st.leases, id)
+		}
 		n++
 		inc(l.reclaims)
 		l.emit(obs.Warn, "ledger.reclaim", map[string]any{
@@ -621,7 +702,7 @@ func (l *Ledger) reap(st *scanState) (int, error) {
 // discard its partial results. On fencing, Renew drops the caller's own
 // lease record (if still present) so the successor's claim can proceed.
 func (l *Ledger) Renew(ls *Lease) error {
-	path := filepath.Join(l.dir, leasesDir, leaseName(ls.ID))
+	path := filepath.Join(l.dir, leasesDir, leaseName(ls.ID, ls.Epoch))
 	var cur Lease
 	if !readJSON(path, &cur) || cur.Owner != l.owner || cur.Epoch != ls.Epoch {
 		inc(l.fenced)
@@ -637,7 +718,7 @@ func (l *Ledger) Renew(ls *Lease) error {
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
 	}
-	if err := store.WriteFileAtomic(filepath.Join(l.dir, leasesDir), leaseName(ls.ID), data); err != nil {
+	if err := store.WriteFileAtomic(filepath.Join(l.dir, leasesDir), leaseName(ls.ID, ls.Epoch), data); err != nil {
 		return err
 	}
 	// The rename may have resurrected a lease a reaper deleted between our
@@ -691,7 +772,7 @@ func (l *Ledger) Release(ls *Lease, r *Result) error {
 // discarded.
 func (l *Ledger) Abandon(ls *Lease) error {
 	bumped := Task{ID: ls.ID, Epoch: ls.Epoch + 1, Path: ls.Path, Floor: ls.Floor, Lineage: ls.Lineage}
-	if err := l.linkTask(bumped); err != nil && !errors.Is(err, fs.ErrExist) {
+	if err := l.enqueue(bumped); err != nil {
 		return err
 	}
 	l.dropOwnLease(ls)

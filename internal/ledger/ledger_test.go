@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -454,5 +455,113 @@ func TestClaimRaceSingleWinner(t *testing.T) {
 	}
 	if m.Executions != 1 {
 		t.Fatalf("merged executions = %d, want 1", m.Executions)
+	}
+}
+
+// TestClaimIgnoresTempDebris: a participant killed between writing a lease
+// through its temp file and removing that temp leaves a complete, parseable
+// "lease-<id>-e<epoch>.json.tmp…" behind. It is not a lease — nothing would ever
+// remove it under the lease's own name — so the survivors must reclaim the
+// subtree past it instead of spinning on a lease that cannot be reaped.
+func TestClaimIgnoresTempDebris(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	a := join(t, dir, "a", clk)
+	b := join(t, dir, "b", clk)
+
+	ls, err := a.Claim(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := filepath.Join(dir, "ledger", "leases")
+	data, err := os.ReadFile(filepath.Join(leases, leaseName(ls.ID, ls.Epoch)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(leases, leaseName(ls.ID, ls.Epoch)+".tmp123"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	clk.advance(2 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, err := b.Claim(ctx)
+	if err != nil {
+		t.Fatalf("claim past the temp debris: %v", err)
+	}
+	if got.ID != ls.ID || got.Epoch != ls.Epoch+1 {
+		t.Fatalf("reclaimed %s@%d, want %s@%d", got.ID, got.Epoch, ls.ID, ls.Epoch+1)
+	}
+}
+
+// TestStaleReapCannotDoubleClaim: two survivors reap the same expired lease.
+// One reaps and claims the re-enqueued subtree; the other acts on the
+// listing it took before that. Its stale reap must neither take the live
+// claim's lease away nor let it claim the same (subtree, epoch) a second
+// time — two owners of one epoch would both export children under the same
+// lineage, and the merge would count those regions twice.
+func TestStaleReapCannotDoubleClaim(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	v := join(t, dir, "victim", clk)
+	a := join(t, dir, "a", clk)
+	b := join(t, dir, "b", clk)
+
+	dead, err := v.Claim(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(2 * time.Second)
+
+	stale, err := b.scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := a.Claim(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.ID != dead.ID || live.Epoch != dead.Epoch+1 {
+		t.Fatalf("a claimed %s@%d, want the reclaimed %s@%d", live.ID, live.Epoch, dead.ID, dead.Epoch+1)
+	}
+	if _, err := b.reap(stale); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := a.Renew(live); err != nil {
+		t.Fatalf("the stale reap fenced the live claim: %v", err)
+	}
+	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if got, err := b.Claim(short); err == nil {
+		t.Fatalf("b claimed %s@%d while a holds %s@%d", got.ID, got.Epoch, live.ID, live.Epoch)
+	} else if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatal(err)
+	}
+}
+
+// TestClaimWaitsForRootSeed: the creator links the marker before it seeds
+// the root task, so a joiner can find a marker and nothing else. That is a
+// ledger being created, not a broken one: Claim waits for the seed, and
+// reports an empty ledger only once a TTL has passed since creation.
+func TestClaimWaitsForRootSeed(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	a := join(t, dir, "a", clk)
+	root := filepath.Join(dir, "ledger", "tasks", taskName(TaskID(nil, 0)))
+	if err := os.Remove(root); err != nil {
+		t.Fatal(err)
+	}
+
+	short, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := a.Claim(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("claim on a ledger still being seeded: err = %v, want to wait", err)
+	}
+
+	clk.advance(2 * time.Second)
+	_, err := a.Claim(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "empty ledger") {
+		t.Fatalf("claim a TTL after creation: err = %v, want an empty-ledger error", err)
 	}
 }

@@ -100,13 +100,15 @@ func (l *Log) Emit(level Level, typ string, fields map[string]any) {
 		return
 	}
 	e := Event{
-		T:      time.Since(l.start).Nanoseconds(),
 		Level:  level.String(),
 		Type:   typ,
 		Fields: fields,
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// Stamped under the lock, so timestamps never run backwards through
+	// the stream when workers emit concurrently.
+	e.T = time.Since(l.start).Nanoseconds()
 	l.counts[typ]++
 	if l.err == nil {
 		l.err = l.enc.Encode(&e)

@@ -8,9 +8,8 @@ import (
 
 // Bank is the common surface of a CAS-object bank, satisfied by both
 // substrates: the deterministic simulator's object.Bank and the
-// real-atomics atomicx.Bank. Code written against Bank — Programs, the
-// exploration engine, the harness cost tables — runs unchanged on either
-// substrate, with no type switches.
+// real-atomics atomicx.Bank. Code written against Bank — the reference
+// Programs — runs unchanged on either substrate, with no type switches.
 //
 // Bind returns the bank as seen by one process. On the simulator the
 // process handle gates each CAS behind a scheduled atomic step; on real

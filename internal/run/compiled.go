@@ -1,6 +1,7 @@
 package run
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -10,82 +11,42 @@ import (
 	"repro/internal/word"
 )
 
-// ExecMode selects which execution form drives the protocol: the compiled
-// step machines (core.Stepper on the sim stepped runner) or the
-// goroutine-gated reference simulator. The two forms are observationally
-// identical — same verdicts, traces, and counterexamples — so the mode only
-// changes speed; it still participates in manifests and trace meta so that
-// replays and resumes run under the form that produced an artifact.
-type ExecMode int
-
-const (
-	// ExecAuto (the default) uses the compiled form when the protocol
-	// provides a Stepper and falls back to the goroutine path otherwise.
-	ExecAuto ExecMode = iota
-	// ExecInterpreted forces the goroutine-gated reference simulator.
-	ExecInterpreted
-	// ExecCompiled requires the compiled form; drivers refuse protocols
-	// without a Stepper.
-	ExecCompiled
-)
-
-// String renders the mode as its meta/flag spelling.
-func (m ExecMode) String() string {
-	switch m {
-	case ExecInterpreted:
-		return "interpreted"
-	case ExecCompiled:
-		return "compiled"
-	default:
-		return "auto"
+// RequireSteppable refuses a protocol without a compiled form. Every
+// simulated execution runs the protocol's core.Stepper on the sim stepped
+// runner; the paper-shaped Decide is kept only as the reference the
+// differential tests compare against.
+func RequireSteppable(p core.Protocol) error {
+	if _, ok := p.(core.Steppable); !ok {
+		return fmt.Errorf("run: protocol %s does not implement core.Steppable (every simulated execution runs its compiled form)", p.Name())
 	}
+	return nil
 }
 
-// ParseExecMode is the inverse of ExecMode.String (CLI flags, trace meta).
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "", "auto":
-		return ExecAuto, nil
-	case "interpreted", "goroutine":
-		return ExecInterpreted, nil
-	case "compiled":
-		return ExecCompiled, nil
-	default:
-		return ExecAuto, fmt.Errorf("run: unknown execution form %q (want auto, compiled, or interpreted)", s)
+// Simulate runs one execution of the protocol's compiled form over a bank
+// and a scheduler the caller built: cfg carries the scheduler, the trace
+// log and the observer; Simulate fills in the process count and the
+// program. A zero cfg.StepLimit means the protocol's StepBound for
+// len(inputs) processes. It is the one place the drivers outside the
+// exploration engine (single runs, stress, PCT, valency, the adversaries,
+// the cost tables) wire up a simulated execution.
+func Simulate(ctx context.Context, proto core.Protocol, bank *object.Bank, inputs []int64, cfg sim.SteppedConfig) (*sim.Result, error) {
+	stepper, ok := core.Compile(proto)
+	if !ok {
+		return nil, RequireSteppable(proto)
 	}
-}
-
-// ResolveExec resolves the mode against a protocol: whether the compiled
-// form runs. ExecCompiled fails when the protocol has no Stepper.
-func ResolveExec(mode ExecMode, p core.Protocol) (compiled bool, err error) {
-	switch mode {
-	case ExecInterpreted:
-		return false, nil
-	case ExecCompiled:
-		if _, ok := core.Compile(p); !ok {
-			return false, fmt.Errorf("run: protocol %s has no compiled form (core.Stepper)", p.Name())
-		}
-		return true, nil
-	default:
-		_, ok := core.Compile(p)
-		return ok, nil
+	cfg.Procs = len(inputs)
+	cfg.Program = NewSteppedExec(stepper, bank, inputs)
+	if cfg.StepLimit <= 0 {
+		cfg.StepLimit = proto.StepBound(len(inputs))
 	}
-}
-
-// ExecLabel renders the resolved execution form for manifests and trace
-// meta ("compiled" or "interpreted").
-func ExecLabel(compiled bool) string {
-	if compiled {
-		return "compiled"
-	}
-	return "interpreted"
+	return sim.RunStepped(ctx, cfg)
 }
 
 // SteppedExec adapts a compiled protocol to the sim stepped runner: one
 // core.Stepper shared by all processes, one State and one bank-bound
-// environment per process. It is reusable across executions the same way
-// BoundPrograms is — Begin re-initializes a process's machine — provided
-// the bank is Reset between executions by the caller.
+// environment per process. It is reusable across executions — Begin
+// re-initializes a process's machine — provided the bank is Reset between
+// executions by the caller.
 type SteppedExec struct {
 	stepper core.Stepper
 	inputs  []int64
@@ -110,12 +71,19 @@ func NewSteppedExec(stepper core.Stepper, bank *object.Bank, inputs []int64) *St
 // Begin implements sim.SteppedProgram.
 func (x *SteppedExec) Begin(id int) { x.states[id] = x.stepper.Begin(x.inputs[id]) }
 
-// Pending reports process id's next CAS as a sim.PendingOp — the same
-// metadata the goroutine form publishes via Proc.ExecCAS, recomputed from
-// the machine state. Always Known: every compiled step is a declared CAS.
-func (x *SteppedExec) Pending(id int) sim.PendingOp {
+// PendingOp is the CAS a process issues on its next step: the object index
+// and the exp/new arguments.
+type PendingOp struct {
+	Obj int
+	Exp word.Word
+	New word.Word
+}
+
+// Pending reports process id's next CAS, computed from its machine state
+// without performing it (core.Stepper.Pending).
+func (x *SteppedExec) Pending(id int) PendingOp {
 	obj, exp, new := x.stepper.Pending(&x.states[id])
-	return sim.PendingOp{Known: true, Obj: obj, Exp: exp, New: new}
+	return PendingOp{Obj: obj, Exp: exp, New: new}
 }
 
 // Footprint reports the object interval process id's remaining execution
@@ -126,8 +94,9 @@ func (x *SteppedExec) Footprint(id int) (lo, hi int) {
 
 // Step implements sim.SteppedProgram: one Stepper step against the bank.
 // A nonresponsive fault surfaces as a stalled outcome, exactly like
-// object.CAS.Invoke stalling the goroutine-gated process; whatever the
-// machine computed after the stalling CAS is discarded with it.
+// object.CAS.Invoke stalling a process of the goroutine reference;
+// whatever the machine computed after the stalling CAS is discarded with
+// it.
 func (x *SteppedExec) Step(id int, rec *sim.StepRecorder) sim.StepOutcome {
 	env := &x.envs[id]
 	env.rec = rec

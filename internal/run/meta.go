@@ -41,13 +41,6 @@ func MetaFromSettings(s *Settings) map[string]string {
 	if s.FaultsPerObject == fault.Unbounded {
 		m["t"] = "0"
 	}
-	if s.Protocol != nil {
-		// The resolved execution form, so a replay of this artifact runs
-		// under the same engine that produced it.
-		if compiled, err := ResolveExec(s.Exec, s.Protocol); err == nil {
-			m["exec"] = ExecLabel(compiled)
-		}
-	}
 	switch p := s.Protocol.(type) {
 	case core.SingleCAS:
 		m["proto"] = "figure1"
@@ -72,7 +65,9 @@ func MetaFromSettings(s *Settings) map[string]string {
 // protocol (from proto/f/t), the canonical inputs (from n, unless explicit
 // inputs are given), the faulty-object set (from faulty/unbounded/t), and
 // the fault kind. It is the inverse of MetaFromSettings and of the
-// modelcheck CLI's flag rendering.
+// modelcheck CLI's flag rendering. Captures made before every execution ran
+// the compiled form carry an exec (and engine) key; it names how the
+// artifact was produced, not what it means, and is ignored.
 func SettingsFromMeta(meta map[string]string, inputs []int64) (*Settings, error) {
 	get := func(key string, def int) (int, error) {
 		v, ok := meta[key]
@@ -153,19 +148,6 @@ func SettingsFromMeta(meta map[string]string, inputs []int64) (*Settings, error)
 		WithInputs(inputs...),
 		WithFaultyObjects(ids, perObject),
 		WithFaultKind(kind),
-	}
-	if v := meta["exec"]; v != "" {
-		// Replay the artifact under the form that produced it. Meta
-		// without an exec entry predates the compiled form and keeps the
-		// default (auto).
-		mode, err := ParseExecMode(v)
-		if err != nil {
-			return nil, err
-		}
-		if mode == ExecAuto {
-			mode = ExecInterpreted // "auto" is never recorded; be strict
-		}
-		opts = append(opts, WithExecMode(mode))
 	}
 	if v := meta["reduce"]; v != "" {
 		mode, err := ParseReduceMode(v)

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -63,61 +64,34 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetaRoundTripExec: the resolved execution form survives the meta
-// round trip, so an artifact replays under the engine that produced it —
-// and a meta without an exec entry (predating the compiled form) keeps the
-// default auto resolution.
-func TestMetaRoundTripExec(t *testing.T) {
-	base := []Option{
-		WithProtocol(core.NewStaged(1, 1)), WithDistinctInputs(2),
-		WithAllObjectsFaulty(1),
+// TestSettingsFromMetaIgnoresExec: every execution runs the compiled form,
+// so meta no longer records one, and an exec or engine key in an older
+// capture — whatever form it names — is ignored rather than refused.
+func TestSettingsFromMetaIgnoresExec(t *testing.T) {
+	s := NewSettings(WithProtocol(core.NewStaged(1, 1)), WithDistinctInputs(2), WithAllObjectsFaulty(1))
+	meta := MetaFromSettings(s)
+	for _, key := range []string{"exec", "engine"} {
+		if v, ok := meta[key]; ok {
+			t.Errorf("meta records %s=%q; the execution form is no longer a setting", key, v)
+		}
 	}
-	cases := []struct {
-		name string
-		mode ExecMode
-		want ExecMode // reconstructed mode
-	}{
-		// Auto on a steppered protocol resolves (and records) compiled.
-		{"auto-resolves-compiled", ExecAuto, ExecCompiled},
-		{"compiled", ExecCompiled, ExecCompiled},
-		{"interpreted", ExecInterpreted, ExecInterpreted},
+	want, err := SettingsFromMeta(meta, s.Inputs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := NewSettings(append(base, WithExecMode(tc.mode))...)
-			meta := MetaFromSettings(s)
-			wantCompiled, err := ResolveExec(tc.mode, s.Protocol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := meta["exec"], ExecLabel(wantCompiled); got != want {
-				t.Fatalf("meta exec = %q, want %q", got, want)
-			}
-			got, err := SettingsFromMeta(meta, s.Inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Exec != tc.want {
-				t.Errorf("reconstructed Exec = %v, want %v", got.Exec, tc.want)
-			}
-		})
-	}
-
-	t.Run("legacy-meta-keeps-auto", func(t *testing.T) {
-		s, err := SettingsFromMeta(map[string]string{"proto": "figure1", "n": "2"}, nil)
+	for _, v := range []string{"compiled", "interpreted", "auto"} {
+		old := map[string]string{"exec": v, "engine": v}
+		for k, val := range meta {
+			old[k] = val
+		}
+		got, err := SettingsFromMeta(old, s.Inputs)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("exec=%s: %v", v, err)
 		}
-		if s.Exec != ExecAuto {
-			t.Errorf("Exec = %v, want ExecAuto for meta without an exec entry", s.Exec)
+		if !reflect.DeepEqual(MetaFromSettings(got), MetaFromSettings(want)) {
+			t.Errorf("exec=%s reconstructs %v, want %v", v, MetaFromSettings(got), MetaFromSettings(want))
 		}
-	})
-
-	t.Run("corrupt-exec-refused", func(t *testing.T) {
-		if _, err := SettingsFromMeta(map[string]string{"proto": "figure1", "n": "2", "exec": "jit"}, nil); err == nil {
-			t.Error("unknown exec form in meta must be refused")
-		}
-	})
+	}
 }
 
 // TestSettingsFromMetaCanonicalInputs: without explicit inputs, the meta's

@@ -7,8 +7,8 @@ import "fmt"
 // over the choice path plus branch-time process-symmetry skipping; see
 // docs/MODEL.md, "Partial-order reduction").
 //
-// Like ExecMode, the reduction mode changes WHICH schedules are replayed,
-// so it participates in manifests and trace meta: a resumed run, a joining
+// The reduction mode changes WHICH schedules are replayed, so it
+// participates in manifests and trace meta: a resumed run, a joining
 // ledger worker, and -explain all refuse artifacts recorded under a
 // different mode — their choice paths are coordinates in a different tree.
 type ReduceMode int
@@ -23,8 +23,8 @@ const (
 	ReduceSafe
 	// ReduceAggressive adds persistent-set pruning from whole-future object
 	// footprints. Verdicts (violation found / verified) are preserved, but
-	// the reported counterexample need not be the lex-least one. Requires
-	// the compiled execution form (footprints come from machine state).
+	// the reported counterexample need not be the lex-least one.
+	// Footprints come from the step machines' states.
 	ReduceAggressive
 )
 

@@ -17,34 +17,17 @@ import (
 	"repro/internal/word"
 )
 
-// Programs builds one simulator program per input value, each executing the
-// protocol against the shared bank.
+// Programs builds one program per input value for the goroutine-gated
+// reference simulator (sim.Run), each executing the protocol's paper-shaped
+// Decide against the shared bank. Production drivers run the compiled form
+// (Simulate); Programs is the reference the differential checker
+// (explore.CrossCheck) and the object tests compare against.
 func Programs(proto core.Protocol, bank Bank, inputs []int64) []sim.Program {
 	progs := make([]sim.Program, len(inputs))
 	for i, input := range inputs {
 		input := input
 		progs[i] = func(p *sim.Proc) word.Word {
 			return word.FromValue(proto.Decide(bank.Bind(p), input))
-		}
-	}
-	return progs
-}
-
-// BoundPrograms builds one program per input value with the object
-// environment pre-bound to the arena's stable process handles, so repeated
-// replays do not allocate a binding per program invocation. The returned
-// programs are tied to those handles: they must only run on the arena that
-// produced procs (procs[i] is the handle the arena passes to program i).
-func BoundPrograms(proto core.Protocol, bank Bank, inputs []int64, procs []*sim.Proc) []sim.Program {
-	if len(procs) != len(inputs) {
-		panic(fmt.Sprintf("run: %d process handles for %d inputs", len(procs), len(inputs)))
-	}
-	progs := make([]sim.Program, len(inputs))
-	for i, input := range inputs {
-		input := input
-		env := bank.Bind(procs[i])
-		progs[i] = func(*sim.Proc) word.Word {
-			return word.FromValue(proto.Decide(env, input))
 		}
 	}
 	return progs
@@ -72,9 +55,6 @@ type Config struct {
 	Observer func(trace.Event)
 	// StepLimit overrides the protocol's StepBound when positive.
 	StepLimit int
-	// Exec selects the execution form (default ExecAuto: compiled when
-	// the protocol provides a core.Stepper).
-	Exec ExecMode
 }
 
 // Result bundles the simulation outcome with its verdict.
@@ -106,43 +86,16 @@ func ConsensusContext(ctx context.Context, cfg Config) (*Result, error) {
 	if sched == nil {
 		sched = sim.NewRoundRobin()
 	}
-	compiled, err := ResolveExec(cfg.Exec, cfg.Protocol)
-	if err != nil {
-		return nil, err
-	}
 	bank := object.NewBank(cfg.Protocol.Objects(), cfg.Budget, cfg.Policy)
-
-	limit := cfg.StepLimit
-	if limit <= 0 {
-		limit = cfg.Protocol.StepBound(len(cfg.Inputs))
+	steppedCfg := sim.SteppedConfig{
+		Scheduler: sched,
+		StepLimit: cfg.StepLimit,
+		Observer:  cfg.Observer,
 	}
-
-	var res *sim.Result
-	if compiled {
-		stepper, _ := core.Compile(cfg.Protocol)
-		steppedCfg := sim.SteppedConfig{
-			Procs:     len(cfg.Inputs),
-			Program:   NewSteppedExec(stepper, bank, cfg.Inputs),
-			Scheduler: sched,
-			StepLimit: limit,
-			Observer:  cfg.Observer,
-		}
-		if cfg.Trace {
-			steppedCfg.Log = trace.New()
-		}
-		res, err = sim.RunStepped(ctx, steppedCfg)
-	} else {
-		simCfg := sim.Config{
-			Programs:  Programs(cfg.Protocol, bank, cfg.Inputs),
-			Scheduler: sched,
-			StepLimit: limit,
-			Observer:  cfg.Observer,
-		}
-		if cfg.Trace {
-			simCfg.Log = trace.New()
-		}
-		res, err = sim.RunContext(ctx, simCfg)
+	if cfg.Trace {
+		steppedCfg.Log = trace.New()
 	}
+	res, err := Simulate(ctx, cfg.Protocol, bank, cfg.Inputs, steppedCfg)
 	if err != nil && res == nil {
 		return nil, err
 	}

@@ -89,7 +89,7 @@ func NewEvaluator(inputs []int64) *Evaluator {
 // exceeded its step bound — is a wait-freedom violation.
 //
 // The returned Verdict aliases res.Decisions and res.Decided. When res is a
-// reused arena result, callers retaining the verdict must clone those slices.
+// reused runner result, callers retaining the verdict must clone those slices.
 func Evaluate(inputs []int64, res *sim.Result, runErr error) Verdict {
 	return NewEvaluator(inputs).Evaluate(res, runErr)
 }

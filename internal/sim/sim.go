@@ -16,13 +16,12 @@
 // consistent and race-free by construction even though programs are written
 // as ordinary straight-line Go code.
 //
-// The process goroutines live in an Arena, which is reusable: the model
-// checker replays millions of executions, and respawning goroutines and
-// channels per replay used to dominate its profile. Run starts each slot's
-// current program over the arena's long-lived goroutines; when an execution
-// ends early, parked processes are unwound back to their slots with an
-// abort grant, so the next Run starts from a clean arena. One-shot callers
-// use Run/RunContext, which wrap a single-use Arena.
+// This goroutine-gated runner (Run/RunContext) is the reference semantics:
+// programs are the paper-shaped Decide loops, written as straight-line Go.
+// Every driver simulates protocols through the stepped runner (Stepped,
+// RunStepped) instead, which advances compiled step machines on the calling
+// goroutine; the differential checker (explore.CrossCheck) and the fuzz
+// tests certify the two runners equal, leaf for leaf, against this one.
 package sim
 
 import (
@@ -127,7 +126,7 @@ const (
 	evFinished                  // process returned a decision
 	evStalled                   // process parked forever (nonresponsive fault)
 	evPanicked                  // process panicked
-	evAborted                   // process unwound back to its arena slot
+	evAborted                   // process goroutine unwound
 )
 
 type procEvent struct {
@@ -137,62 +136,33 @@ type procEvent struct {
 	panicVal any
 }
 
-// grantMsg is one step grant. abort unwinds the process back to its arena
-// slot instead of granting the step (the execution ended without it).
+// grantMsg is one step grant. abort unwinds the process instead of
+// granting the step (the execution ended without it).
 type grantMsg struct {
 	abort bool
 }
 
 // abortSignal is panicked inside abandoned process goroutines and recovered
-// by the arena slot, which acknowledges the unwind with evAborted.
+// by runProgram, which acknowledges the unwind with evAborted.
 type abortSignal struct{}
 
 // stallSignal is panicked by Proc.Stall to unwind a nonresponsive process.
 type stallSignal struct{}
 
-// Proc is the handle a program uses to interact with the simulation. Proc
-// handles are owned by the arena and stable across its runs, so callers may
-// bind per-process state (object environments) to them once.
+// Proc is the handle a program uses to interact with the simulation.
 type Proc struct {
 	id int
-	a  *Arena
+	a  *arena
 }
 
 // ID returns the process id (its index in Config.Programs).
 func (p *Proc) ID() int { return p.id }
-
-// PendingOp describes the shared-memory operation a parked process will
-// perform on its next grant. Known is false for operations that did not
-// declare themselves (plain Exec callers: registers, test programs) — the
-// partial-order reducer must then treat the step as potentially conflicting
-// with everything.
-type PendingOp struct {
-	Known bool
-	Obj   int
-	Exp   word.Word
-	New   word.Word
-}
 
 // Exec performs one atomic step: it parks until the scheduler grants this
 // process the next step, runs op, and returns. op runs while the process
 // exclusively holds the step token, so it may freely touch shared objects.
 func (p *Proc) Exec(op func()) {
 	a := p.a
-	a.pending[p.id] = PendingOp{}
-	a.events <- procEvent{id: p.id, kind: evParked}
-	if g := <-a.grant[p.id]; g.abort {
-		panic(abortSignal{})
-	}
-	op()
-}
-
-// ExecCAS is Exec for a CAS step: identical gating, but the object index and
-// CAS arguments are published as the process's PendingOp before it parks
-// (the park event's channel send orders the write before any runner read),
-// so the scheduler can compute step independence without granting the step.
-func (p *Proc) ExecCAS(obj int, exp, new word.Word, op func()) {
-	a := p.a
-	a.pending[p.id] = PendingOp{Known: true, Obj: obj, Exp: exp, New: new}
 	a.events <- procEvent{id: p.id, kind: evParked}
 	if g := <-a.grant[p.id]; g.abort {
 		panic(abortSignal{})
@@ -211,99 +181,27 @@ func (p *Proc) Stall() {
 	panic(stallSignal{})
 }
 
-// Arena is a reusable pool of gated process goroutines plus the runner state
-// of one execution. An Arena is built for a fixed process count; Run
-// executes one configuration over it, and the same arena can run any number
-// of executions in sequence. An Arena is not safe for concurrent Runs; the
-// parallel exploration engine gives each worker its own.
-type Arena struct {
+// arena is the runner state of one execution: one gated goroutine per
+// process plus the bookkeeping of the step loop. When the execution ends
+// early, parked processes are unwound with an abort grant, so no goroutine
+// outlives the run.
+type arena struct {
 	n      int
-	procs  []*Proc
-	start  []chan Program
 	grant  []chan grantMsg
 	events chan procEvent
-	closed bool
 
-	// Per-run state, reset by Run. The result slices are owned by the
-	// arena: a Result returned by Run is valid only until the next Run.
 	cfg       Config
 	decided   []bool
 	decisions []word.Word
 	steps     []int
 	stalled   []bool
 	parked    []bool
-	pending   []PendingOp
 	enabled   []int
 	early     []int
 	liveCount int // processes neither finished nor stalled nor panicked
-	res       Result
 }
 
-// NewArena starts n process goroutines and returns the arena managing them.
-// Callers must Close the arena to release the goroutines.
-func NewArena(n int) *Arena {
-	if n <= 0 {
-		panic("sim: arena needs at least one process")
-	}
-	a := &Arena{
-		n:     n,
-		procs: make([]*Proc, n),
-		start: make([]chan Program, n),
-		grant: make([]chan grantMsg, n),
-		// Buffered to n: every process has at most one unconsumed event
-		// in flight, so sends never block and need no abort select.
-		events:    make(chan procEvent, n),
-		decided:   make([]bool, n),
-		decisions: make([]word.Word, n),
-		steps:     make([]int, n),
-		stalled:   make([]bool, n),
-		parked:    make([]bool, n),
-		pending:   make([]PendingOp, n),
-		enabled:   make([]int, 0, n),
-		early:     make([]int, 0, n),
-	}
-	for i := 0; i < n; i++ {
-		a.procs[i] = &Proc{id: i, a: a}
-		a.start[i] = make(chan Program, 1)
-		a.grant[i] = make(chan grantMsg, 1)
-		go a.slotMain(i)
-	}
-	return a
-}
-
-// Procs returns the arena's stable process handles, indexed by process id.
-// They are the handles every Run passes to its programs, so environments
-// bound to them (run.BoundPrograms) stay valid across runs.
-func (a *Arena) Procs() []*Proc { return a.procs }
-
-// Pending returns the declared next operation of process id. It is
-// meaningful only while the process is parked (the ids a Scheduler.Next call
-// received as enabled); at any other moment it may describe a step already
-// taken.
-func (a *Arena) Pending(id int) PendingOp { return a.pending[id] }
-
-// Close releases the arena's process goroutines. The arena must be idle (no
-// Run in progress). Close is idempotent.
-func (a *Arena) Close() {
-	if a.closed {
-		return
-	}
-	a.closed = true
-	for _, ch := range a.start {
-		close(ch)
-	}
-}
-
-// slotMain is one process slot: it runs each program handed to it and
-// survives aborts, stalls, and panics, so the goroutine is reusable.
-func (a *Arena) slotMain(id int) {
-	p := a.procs[id]
-	for prog := range a.start[id] {
-		a.runProgram(p, prog)
-	}
-}
-
-func (a *Arena) runProgram(p *Proc, prog Program) {
+func (a *arena) runProgram(p *Proc, prog Program) {
 	defer func() {
 		switch v := recover(); v.(type) {
 		case nil:
@@ -319,7 +217,7 @@ func (a *Arena) runProgram(p *Proc, prog Program) {
 	a.events <- procEvent{id: p.id, kind: evFinished, decision: dec}
 }
 
-func (a *Arena) record(e trace.Event) {
+func (a *arena) record(e trace.Event) {
 	if a.cfg.Log != nil {
 		a.cfg.Log.Append(e)
 		if a.cfg.Observer != nil {
@@ -333,55 +231,28 @@ func (a *Arena) record(e trace.Event) {
 	}
 }
 
-// Run executes one simulation over the arena and returns its result. The
-// returned Result's slices are owned by the arena and are invalidated by
-// the next Run; one-shot callers (RunContext) are unaffected.
-//
-// The execution ends when every process has decided (or stalled), when the
-// scheduler stops it, when ctx is cancelled between steps (the partial
-// result is returned together with ctx.Err(), marked Stopped), or when an
-// error (wait-freedom violation, panic) occurs. Run never returns both a
-// nil Result and a nil error.
-func (a *Arena) Run(ctx context.Context, cfg Config) (*Result, error) {
-	if a.closed {
-		return nil, errors.New("sim: arena closed")
-	}
-	if len(cfg.Programs) != a.n {
-		return nil, fmt.Errorf("sim: %d programs for a %d-process arena", len(cfg.Programs), a.n)
-	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: no scheduler")
-	}
+// run executes the configured simulation: it starts one goroutine per
+// program and grants steps until the execution ends.
+func (a *arena) run(ctx context.Context) (*Result, error) {
+	cfg := a.cfg
 	limit := cfg.StepLimit
 	if limit <= 0 {
 		limit = DefaultStepLimit
 	}
-
-	a.cfg = cfg
-	for i := 0; i < a.n; i++ {
-		a.decided[i] = false
-		a.decisions[i] = word.Bottom
-		a.steps[i] = 0
-		a.stalled[i] = false
-		a.parked[i] = false
-		a.pending[i] = PendingOp{}
-	}
-	a.liveCount = a.n
-	a.early = a.early[:0]
-	// Whatever happens, unwind parked processes back to their slots on
-	// exit, so the arena is clean for its next Run.
+	// Whatever happens, unwind parked processes on exit, so no goroutine
+	// outlives the run.
 	defer a.unwind()
 
 	for i, prog := range cfg.Programs {
-		a.start[i] <- prog
+		go a.runProgram(&Proc{id: i, a: a}, prog)
 	}
 
 	// Collection phase: wait until every process is parked at its first
 	// step or already finished. Processes that finish without taking any
 	// step have their decide events appended afterwards in id order, so
 	// the trace stays deterministic despite concurrent starts. The phase
-	// always drains all n events — even after a panic — so no event of
-	// this run can leak into the next one.
+	// always drains all n events — even after a panic — so unwind finds
+	// every surviving process parked.
 	var startErr error
 	for pending := a.n; pending > 0; pending-- {
 		ev := <-a.events
@@ -466,10 +337,10 @@ func (a *Arena) Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // unwind aborts every parked process and waits for each to acknowledge that
-// it returned to its slot. At every Run exit the non-parked processes have
-// already reported their final event, so after unwind the events channel is
-// empty and all slots are idle.
-func (a *Arena) unwind() {
+// its goroutine unwound. At every run exit the non-parked processes have
+// already reported their final event, so after unwind no process goroutine
+// is left.
+func (a *arena) unwind() {
 	aborting := 0
 	for id := 0; id < a.n; id++ {
 		if a.parked[id] {
@@ -486,8 +357,8 @@ func (a *Arena) unwind() {
 	}
 }
 
-func (a *Arena) result(stopped bool) *Result {
-	a.res = Result{
+func (a *arena) result(stopped bool) *Result {
+	return &Result{
 		Decided:   a.decided,
 		Decisions: a.decisions,
 		Steps:     a.steps,
@@ -495,7 +366,6 @@ func (a *Arena) result(stopped bool) *Result {
 		Stopped:   stopped,
 		Log:       a.cfg.Log,
 	}
-	return &a.res
 }
 
 // Run executes one simulation to completion and returns its result.
@@ -512,18 +382,32 @@ func Run(cfg Config) (*Result, error) {
 // result is returned together with ctx.Err(). The result is marked Stopped,
 // like an execution the scheduler halted, since the remaining processes were
 // abandoned rather than left behind by the protocol.
-//
-// RunContext is the one-shot form: it builds a single-use Arena and closes
-// it before returning. Repeated replays (the model checker's hot path)
-// should hold an Arena and call its Run directly.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if len(cfg.Programs) == 0 {
+	n := len(cfg.Programs)
+	if n == 0 {
 		return nil, errors.New("sim: no programs")
 	}
 	if cfg.Scheduler == nil {
 		return nil, errors.New("sim: no scheduler")
 	}
-	a := NewArena(len(cfg.Programs))
-	defer a.Close()
-	return a.Run(ctx, cfg)
+	a := &arena{
+		n:     n,
+		grant: make([]chan grantMsg, n),
+		// Buffered to n: every process has at most one unconsumed event
+		// in flight, so sends never block and need no abort select.
+		events:    make(chan procEvent, n),
+		cfg:       cfg,
+		decided:   make([]bool, n),
+		decisions: make([]word.Word, n),
+		steps:     make([]int, n),
+		stalled:   make([]bool, n),
+		parked:    make([]bool, n),
+		enabled:   make([]int, 0, n),
+		early:     make([]int, 0, n),
+		liveCount: n,
+	}
+	for i := range a.grant {
+		a.grant[i] = make(chan grantMsg, 1)
+	}
+	return a.run(ctx)
 }

@@ -1,14 +1,14 @@
-// The stepped runner is the compiled counterpart of the goroutine-gated
-// Arena: it executes an entire schedule in one tight loop on the calling
-// goroutine. Where the Arena suspends each process inside a blocked Program
-// closure (park, grant, channel handshake — two scheduler hops per atomic
-// step), the stepped runner advances explicitly resumable state machines
-// (core.Stepper, adapted through SteppedProgram), so granting a step is a
-// plain function call. The Arena remains the reference semantics; the
-// stepped runner reproduces its observable behaviour exactly — same
-// scheduling decisions, same step accounting, same trace events in the same
-// order, same errors byte for byte — which explore.CrossCheck and the
-// differential fuzz tests enforce.
+// The stepped runner is how every driver simulates a protocol: it executes
+// an entire schedule in one tight loop on the calling goroutine. Where the
+// goroutine-gated reference runner (Run) suspends each process inside a
+// blocked Program closure (park, grant, channel handshake — two scheduler
+// hops per atomic step), the stepped runner advances explicitly resumable
+// state machines (core.Stepper, adapted through SteppedProgram), so
+// granting a step is a plain function call. Run remains the reference
+// semantics; the stepped runner reproduces its observable behaviour
+// exactly — same scheduling decisions, same step accounting, same trace
+// events in the same order, same errors byte for byte — which
+// explore.CrossCheck and the differential fuzz tests enforce.
 package sim
 
 import (
@@ -51,7 +51,7 @@ type StepRecorder struct {
 }
 
 // Record appends an event to the trace and notifies the observer, exactly
-// as Arena.record does: the observer sees the event with its log index.
+// as the reference runner does: the observer sees the event with its log index.
 func (r *StepRecorder) Record(e trace.Event) {
 	if r.log != nil {
 		r.log.Append(e)
@@ -85,8 +85,7 @@ type SteppedConfig struct {
 	Observer func(trace.Event)
 }
 
-// Stepped is the reusable runner state for stepped executions — the
-// counterpart of Arena for the compiled path. A Stepped is built for a
+// Stepped is the reusable runner state for stepped executions. A Stepped is built for a
 // fixed process count and can run any number of executions in sequence; it
 // holds no goroutines, so there is nothing to Close. Not safe for
 // concurrent Runs.
@@ -120,10 +119,10 @@ func NewStepped(n int) *Stepped {
 
 // Run executes one stepped simulation and returns its result. The returned
 // Result's slices are owned by the runner and are invalidated by the next
-// Run, exactly like Arena.Run. The termination conditions and error
-// behaviour match Arena.Run: the execution ends when every process has
-// decided (or stalled), when the scheduler stops it, when ctx is cancelled
-// between steps (partial result plus ctx.Err(), marked Stopped), or on a
+// Run. The termination conditions and error behaviour match the reference
+// runner's: the execution ends when every process has decided (or
+// stalled), when the scheduler stops it, when ctx is cancelled between
+// steps (partial result plus ctx.Err(), marked Stopped), or on a
 // wait-freedom violation or program panic. Run never returns both a nil
 // Result and a nil error.
 func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
@@ -151,8 +150,8 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 	s.rec = StepRecorder{log: cfg.Log, observer: cfg.Observer}
 	live := s.n
 
-	// Initialization phase: the counterpart of the Arena's collection
-	// phase. Begin performs no shared-memory step, so afterwards every
+	// Initialization phase: the counterpart of the reference runner's
+	// collection phase. Begin performs no shared-memory step, so afterwards every
 	// process sits at its first step, exactly like a freshly parked
 	// goroutine.
 	for id := 0; id < s.n; id++ {
@@ -162,9 +161,8 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 	}
 
 	// Main loop: grant one step at a time. Structure and error strings
-	// track Arena.Run exactly — the sequential checker's lex-least
-	// counterexample guarantee rests on both forms consuming scheduler
-	// decisions identically.
+	// track the reference runner exactly — the differential checker
+	// compares both runners consuming scheduler decisions identically.
 	for live > 0 {
 		if err := ctx.Err(); err != nil {
 			return s.result(cfg, true), err
@@ -213,8 +211,8 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 }
 
 // beginProc initializes one process, converting a panic into the same
-// PanicError the Arena reports for a program panicking before its first
-// step.
+// PanicError the reference runner reports for a program panicking before
+// its first step.
 func beginProc(prog SteppedProgram, id int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -226,7 +224,8 @@ func beginProc(prog SteppedProgram, id int) (err error) {
 }
 
 // stepProc advances one process by one step, converting a panic into the
-// same PanicError the Arena reports for a program panicking mid-step.
+// same PanicError the reference runner reports for a program panicking
+// mid-step.
 func stepProc(prog SteppedProgram, id int, rec *StepRecorder) (out StepOutcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {

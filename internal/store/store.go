@@ -55,10 +55,11 @@ type Manifest struct {
 	Kind            string  `json:"kind"`
 	StepLimit       int     `json:"step_limit"`
 	Exhaustive      bool    `json:"exhaustive"`
-	// Exec is the resolved execution form ("compiled" or "interpreted").
-	// It is hashed: the forms are equivalent by construction, but a
-	// checkpoint is a claim about what a specific engine explored, so a
-	// resume must re-run the engine that made the claim.
+	// Exec is the execution form that explored the run. Every exploration
+	// now runs the compiled form, so explorers always write "compiled";
+	// the field stays hashed so that a directory an older build explored
+	// with the goroutine form ("interpreted") is refused on resume — a
+	// checkpoint is a claim about what a specific engine explored.
 	Exec string `json:"exec,omitempty"`
 	// Reduce is the partial-order reduction mode ("on" or "aggressive";
 	// empty means off). It is hashed when set: reduced choice paths are

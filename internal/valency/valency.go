@@ -18,6 +18,7 @@
 package valency
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -276,11 +277,8 @@ func runPathVerdict(cfg Config, c *chooser, soloAfter int) (run.Verdict, error) 
 		}
 		return enabled[c.choose(len(enabled))], true
 	})
-	res, err := sim.Run(sim.Config{
-		Programs:  run.Programs(cfg.Protocol, bank, cfg.Inputs),
-		Scheduler: sched,
-		StepLimit: cfg.Protocol.StepBound(len(cfg.Inputs)),
-	})
+	res, err := run.Simulate(context.Background(), cfg.Protocol, bank, cfg.Inputs,
+		sim.SteppedConfig{Scheduler: sched})
 	if err != nil && res == nil {
 		return run.Verdict{}, err
 	}

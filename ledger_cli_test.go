@@ -5,10 +5,12 @@
 package repro_test
 
 import (
+	"bytes"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -17,6 +19,8 @@ import (
 func startWorker(t *testing.T, args ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(filepath.Join(buildCLIs(t), "modelcheck"), args...)
+	out := &bytes.Buffer{}
+	cmd.Stdout, cmd.Stderr = out, out
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +39,48 @@ func waitWorker(t *testing.T, name string, cmd *exec.Cmd) {
 	if ee, ok := err.(*exec.ExitError); ok && (ee.ExitCode() == 0 || ee.ExitCode() == 1) {
 		return
 	}
-	t.Fatalf("worker %s: %v", name, err)
+	t.Fatalf("worker %s: %v\n%s", name, err, cmd.Stdout)
 }
+
+// waitForLease blocks until the ledger in the run directory holds a live
+// lease — the victim has claimed its root subtree — and every extra file
+// pattern under the directory matches, failing the test otherwise.
+func waitForLease(t *testing.T, dir string, extra ...string) {
+	t.Helper()
+	patterns := append([]string{filepath.Join("ledger", "leases", "lease-*.json")}, extra...)
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+		ready := true
+		for _, p := range patterns {
+			if m, _ := filepath.Glob(filepath.Join(dir, p)); len(m) == 0 {
+				ready = false
+			}
+		}
+		if ready {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("the victim never claimed a subtree (waiting for %v)", patterns)
+}
+
+// requireKilledBy fails the test unless the reaped victim was ended by sig:
+// a victim that exited on its own before the signal leaves a drained
+// ledger, and the survivors would merge it without reclaiming anything.
+func requireKilledBy(t *testing.T, waitErr error, sig syscall.Signal) {
+	t.Helper()
+	if ee, ok := waitErr.(*exec.ExitError); ok {
+		if ws, ok := ee.Sys().(syscall.WaitStatus); ok && ws.Signaled() && ws.Signal() == sig {
+			return
+		}
+	}
+	t.Fatalf("the victim exited (%v) before the %v landed; its lease was never forfeited", waitErr, sig)
+}
+
+// ledgerArgs is a verified sweep of 302,844 executions: long enough that a
+// signal sent once the victim holds its root lease lands while the lease
+// is live, short enough for the survivors to finish in well under a second
+// of exploration.
+var ledgerArgs = []string{"-proto", "figure2", "-f", "3", "-n", "3", "-faulty", "3", "-unbounded", "-max", "1000000"}
 
 // TestCLILedgerKilledWorkerVerifiedMatchesSingle: a three-process ledger run
 // in which the first worker — the one that created the ledger and claimed the
@@ -44,28 +88,24 @@ func waitWorker(t *testing.T, name string, cmd *exec.Cmd) {
 // forfeited subtree after TTL expiry and drive the sweep to the exact
 // single-process verdict: VERIFIED with an identical execution count.
 func TestCLILedgerKilledWorkerVerifiedMatchesSingle(t *testing.T) {
-	args := []string{"-proto", "figure3", "-f", "1", "-t", "1", "-n", "2", "-unbounded"}
-	ref, code := runCLI(t, "modelcheck", args...)
+	ref, code := runCLI(t, "modelcheck", ledgerArgs...)
 	if code != 0 || !strings.Contains(ref, "VERIFIED") {
 		t.Fatalf("reference run: exit %d:\n%s", code, ref)
 	}
 	refExecs := cliExecutions(t, ref)
 
 	dir := filepath.Join(t.TempDir(), "run")
-	// The victim creates the ledger on the slow interpreted engine (the
-	// manifest seals that choice for every joiner), so the kill lands while
-	// its lease is live and most of the tree is still unexplored.
-	victim := startWorker(t, append(append([]string{}, args...),
-		"-engine", "interpreted", "-ledger", dir, "-worker-id", "victim",
+	// The victim creates the ledger with one worker and is killed as soon
+	// as its root lease exists, while most of the tree is unexplored.
+	victim := startWorker(t, append(append([]string{}, ledgerArgs...),
+		"-workers", "1", "-ledger", dir, "-worker-id", "victim",
 		"-lease-ttl", "400ms")...)
-	time.Sleep(150 * time.Millisecond)
-	if victim.Process.Kill() != nil {
-		t.Log("victim finished before the kill; survivors merge a drained ledger instead")
-	}
-	victim.Wait() //nolint:errcheck // killed on purpose
+	waitForLease(t, dir)
+	victim.Process.Kill() //nolint:errcheck // the wait status below tells
+	requireKilledBy(t, victim.Wait(), syscall.SIGKILL)
 
-	a := startWorker(t, "-ledger", dir, "-worker-id", "survivor-a")
-	b := startWorker(t, "-ledger", dir, "-worker-id", "survivor-b")
+	a := startWorker(t, "-ledger", dir, "-worker-id", "survivor-a", "-max", "1000000")
+	b := startWorker(t, "-ledger", dir, "-worker-id", "survivor-b", "-max", "1000000")
 	waitWorker(t, "survivor-a", a)
 	waitWorker(t, "survivor-b", b)
 

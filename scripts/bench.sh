@@ -22,14 +22,7 @@
 # under "trace_overhead" with its 15% budget; exceeding the budget prints a
 # warning but does not fail the script (scripts/check.sh is the hard gate).
 #
-# A third pass measures the compiled execution form against the goroutine
-# reference on the single-worker covering slab (min of FORM_COUNT, same
-# noise discipline) and records the ratio under "compiled_speedup" together
-# with the host's core count — the slab is single-worker, so the ratio is
-# honest on a single-core host (annotated single_core_host: true), unlike
-# the worker-scaling block whose efficiency ceiling depends on cores.
-#
-# A fourth pass records the distributed work ledger: the covering slab runs
+# A third pass records the distributed work ledger: the covering slab runs
 # once through a single ledger worker process and once through two
 # concurrent worker processes, both finalized with -ledger-finalize, and
 # the wall clocks, merged execution counts, and the 2-process ratio land
@@ -39,7 +32,7 @@
 # execution count; disagreement prints a warning (scripts/check.sh's ledger
 # gate is the hard equality check).
 #
-# A fifth pass measures the fleet-snapshot publication overhead: the same
+# A fourth pass measures the fleet-snapshot publication overhead: the same
 # solo ledger worker runs FLEET_COUNT times with -fleet-snapshots=false and
 # =true interleaved, and the per-mode MINIMUM wall clocks are compared under
 # "fleet_overhead" with a 5% budget (warning, not failure — the publisher
@@ -62,19 +55,16 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-3x}"
 TRACE_COUNT="${TRACE_COUNT:-5}"
-FORM_COUNT="${FORM_COUNT:-5}"
 FLEET_COUNT="${FLEET_COUNT:-5}"
 OUT="${OUT:-BENCH_explore.json}"
 NCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 RAW="$(mktemp)"
 RAW_TRACE="$(mktemp)"
-RAW_FORM="$(mktemp)"
 BENCH_JSON="$(mktemp)"
 OVERHEAD="$(mktemp)"
-SPEEDUP="$(mktemp)"
 REPORT="$(mktemp)"
 RUNDIR="$(mktemp -d)"
-trap 'rm -rf "$RAW" "$RAW_TRACE" "$RAW_FORM" "$BENCH_JSON" "$OVERHEAD" "$SPEEDUP" "$REPORT" "$RUNDIR"' EXIT
+trap 'rm -rf "$RAW" "$RAW_TRACE" "$BENCH_JSON" "$OVERHEAD" "$REPORT" "$RUNDIR"' EXIT
 
 go test -run '^$' \
 	-bench 'BenchmarkEngineCoveringSweep|BenchmarkSequentialCoveringSweep|BenchmarkEngineDedupSweep|BenchmarkEngineReduceSweep' \
@@ -162,21 +152,6 @@ END {
 }
 ' "$RAW_TRACE" > "$OVERHEAD"
 
-echo "== compiled-vs-goroutine execution form (min of $FORM_COUNT) =="
-go test -run '^$' \
-	-bench 'BenchmarkExecFormCoveringSweep' \
-	-benchtime "$BENCHTIME" -count "$FORM_COUNT" ./internal/explore/ | tee "$RAW_FORM"
-
-awk -v count="$FORM_COUNT" -v ncpu="$NCPU" '
-/^BenchmarkExecFormCoveringSweep\/form=compiled/  { if (!c || $3 + 0 < c) c = $3 + 0 }
-/^BenchmarkExecFormCoveringSweep\/form=goroutine/ { if (!g || $3 + 0 < g) g = $3 + 0 }
-END {
-	if (!c || !g) { print "{}"; exit 1 }
-	printf "{\"goroutine_min_ns_per_op\": %.0f, \"compiled_min_ns_per_op\": %.0f, \"compiled_speedup\": %.4f, \"floor\": 2.0, \"samples\": %d, \"host_cpus\": %d, \"single_core_host\": %s}\n", \
-		g, c, g / c, count, ncpu, (ncpu <= 1 ? "true" : "false")
-}
-' "$RAW_FORM" > "$SPEEDUP"
-
 echo "== ledger scaling (1 vs 2 cooperating worker processes) =="
 MC="$RUNDIR/modelcheck"
 go build -o "$MC" ./cmd/modelcheck
@@ -254,8 +229,6 @@ go run ./cmd/modelcheck \
 	sed '$d' "$BENCH_JSON"
 	printf '  ,\n  "trace_overhead":\n'
 	sed 's/^/  /' "$OVERHEAD"
-	printf '  ,\n  "compiled_speedup":\n'
-	sed 's/^/  /' "$SPEEDUP"
 	printf '  ,\n  "ledger_scaling":\n'
 	sed 's/^/  /' "$LEDGER_JSON"
 	printf '  ,\n  "fleet_overhead":\n'

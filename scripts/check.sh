@@ -66,18 +66,19 @@ go test -count=1 ./internal/obs/fleet/
 go test -count=1 -run 'TestEngineFleet' ./internal/explore/
 go test -count=1 -run 'TestCLIFleet' .
 
-echo "== exec-form equivalence gate (compiled vs interpreted covering sweeps) =="
-# The compiled Stepper machines must enumerate the SAME execution tree as
-# the goroutine-gated reference simulator, leaf for leaf: every protocol
-# with a compiled form is swept (n=2, f=1, unbounded faults) through both
-# forms and any divergence in verdicts, schedules, decisions, step counts,
-# or trace logs fails the gate. Uncached, so the gate re-runs every time.
+echo "== exec-form equivalence gate (compiled form vs goroutine reference, covering sweeps) =="
+# The compiled Stepper machines every driver runs must enumerate the SAME
+# execution tree as the paper-shaped Decide on the goroutine-gated reference
+# simulator, leaf for leaf: every protocol is swept (n=2, f=1, unbounded
+# faults) through both and any divergence in verdicts, schedules,
+# decisions, step counts, or trace logs fails the gate. Uncached, so the
+# gate re-runs every time.
 go test -count=1 -run TestCompiledMatchesInterpreted ./internal/explore/
 
 echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =="
 # Partial-order reduction must not change what the checker reports: every
-# differential case (clean and violating sweeps, both execution forms) is
-# re-explored with reduce=on and any divergence in verdict, completeness,
+# differential case (clean and violating sweeps of every protocol family)
+# is re-explored with reduce=on and any divergence in verdict, completeness,
 # counterexample schedule, decisions, or trace log fails the gate. The
 # reducer's sleep/symmetry bookkeeping is shared mutable state on the branch
 # path, so this gate runs under the race detector, uncached.
@@ -98,9 +99,8 @@ NCPU="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
 if [ "$NCPU" -ge 2 ]; then BUDGET=1.05; else BUDGET=1.6; fi
 SCALE_COUNT="${SCALE_COUNT:-5}"
 RAW_SCALE="$(mktemp)"
-RAW_FORM="$(mktemp)"
 RAW_REDUCE="$(mktemp)"
-trap 'rm -f "$RAW_SCALE" "$RAW_FORM" "$RAW_REDUCE"' EXIT
+trap 'rm -f "$RAW_SCALE" "$RAW_REDUCE"' EXIT
 go test -run '^$' -bench 'BenchmarkEngineCoveringSweep/workers=(1|8)$' \
 	-benchtime 1x -count "$SCALE_COUNT" ./internal/explore/ | tee "$RAW_SCALE"
 awk -v budget="$BUDGET" '
@@ -116,29 +116,6 @@ END {
 	}
 }
 ' "$RAW_SCALE"
-
-echo "== compiled-speedup gate (compiled vs goroutine form, min of $SCALE_COUNT) =="
-# The compiled form's reason to exist is speed: the single-worker
-# 4096-execution covering slab must run at least 2x faster through the
-# stepped runner than through the goroutine-gated reference simulator.
-# Per-benchmark MINIMUM of SCALE_COUNT runs, same as the scaling gate —
-# single samples on a loaded box misread the ratio. The slab is
-# single-worker, so the floor holds on single-core hosts too.
-go test -run '^$' -bench 'BenchmarkExecFormCoveringSweep' \
-	-benchtime 1x -count "$SCALE_COUNT" ./internal/explore/ | tee "$RAW_FORM"
-awk '
-$1 ~ /\/form=compiled(-[0-9]+)?$/  { if (!c || $3 + 0 < c) c = $3 + 0 }
-$1 ~ /\/form=goroutine(-[0-9]+)?$/ { if (!g || $3 + 0 < g) g = $3 + 0 }
-END {
-	if (!c || !g) { print "compiled-speedup gate: missing benchmark output" > "/dev/stderr"; exit 1 }
-	speedup = g / c
-	printf "compiled-speedup gate: goroutine min %.0f ns/op, compiled min %.0f ns/op, speedup %.2fx (floor 2.00x)\n", g, c, speedup
-	if (speedup < 2) {
-		printf "FAIL: compiled form is only %.2fx faster than the goroutine form (floor 2x)\n", speedup > "/dev/stderr"
-		exit 1
-	}
-}
-' "$RAW_FORM"
 
 echo "== POR executions-reduction gate (reduce=on vs dedup-only, min of $SCALE_COUNT) =="
 # The reducer's reason to exist is fewer replays for the same verdict: on
