@@ -28,6 +28,10 @@ import "repro/internal/word"
 //     arbitrarily many steps and faults may fire: a Stepper may assume
 //     NOTHING about shared state across Step boundaries beyond what its own
 //     CAS return values told it. Everything it needs must live in State.
+//   - A Stepper keeps no per-process state outside State. The explorer
+//     copies State values at step boundaries and later restores them to
+//     resume an execution from there, without calling Begin or replaying
+//     the steps before; anything a machine kept elsewhere would be stale.
 //
 // State deliberately holds the union of every machine's registers rather
 // than per-protocol types: drivers replay millions of executions and store

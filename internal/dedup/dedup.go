@@ -98,10 +98,9 @@ type Set struct {
 	improved atomic.Int64
 
 	// leafLookups is the engine-side effectiveness denominator: Visit runs
-	// once per scheduling decision (so Lookups counts steps, not
-	// executions, and most of them are Revisits of the worker's own
-	// prefix). The engine calls LeafLookup once per replayed leaf — pruned
-	// or completed — making Hits/LeafLookups the honest hit rate.
+	// once per executed scheduling decision (so Lookups counts steps, not
+	// executions). The engine calls LeafLookup once per replayed leaf —
+	// pruned or completed — making Hits/LeafLookups the honest hit rate.
 	leafLookups atomic.Int64
 }
 

@@ -131,6 +131,32 @@ func (t *Tracker) Reset() {
 	}
 }
 
+// TrackerState is a saved copy of a tracker's canonical state
+// (Tracker.Save). Its storage is reused by every Save into it.
+type TrackerState struct {
+	regs    []word.Word
+	procs   []uint64
+	charges []uint32
+	hi, lo  uint64
+}
+
+// Save copies the canonical state and its accumulators into dst.
+func (t *Tracker) Save(dst *TrackerState) {
+	dst.regs = append(dst.regs[:0], t.regs...)
+	dst.procs = append(dst.procs[:0], t.procs...)
+	dst.charges = append(dst.charges[:0], t.charges...)
+	dst.hi, dst.lo = t.hi, t.lo
+}
+
+// Restore returns the tracker to the state saved in src, which must come
+// from a Save of this tracker.
+func (t *Tracker) Restore(src *TrackerState) {
+	copy(t.regs, src.regs)
+	copy(t.procs, src.procs)
+	copy(t.charges, src.charges)
+	t.hi, t.lo = src.hi, src.lo
+}
+
 // Observe folds one simulator event into the state. It is installed as the
 // simulator's Observer, so it runs inside the granted atomic step — no
 // synchronization is needed.

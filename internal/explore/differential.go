@@ -71,8 +71,6 @@ func CrossCheck(cfg Config) (*CrossReport, error) {
 		// (different arity on the same prefix) surfaces as the chooser's
 		// stale-choice panic, which is caught and reported.
 		cc.path = append(cc.path[:0], ic.path...)
-		cc.arity = cc.arity[:0]
-		cc.pos = 0
 		cv, cstats, err := crossLeaf(ces)
 		rep.Executions++
 		if err != nil {

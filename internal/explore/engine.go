@@ -18,9 +18,10 @@ import (
 
 // Engine is the parallel exploration engine: a frontier of choice-path
 // prefixes sharded across workers, each worker running independent
-// stateless replays (an execution is a pure function of protocol, inputs,
-// and choice path, so subtrees explore with no shared state beyond the
-// frontier and the aggregated outcome).
+// replays (an execution is a pure function of protocol, inputs, and choice
+// path, so subtrees explore with no shared state beyond the frontier and
+// the aggregated outcome; each worker resumes its replays from its own
+// frame stack).
 //
 // Determinism guarantees, independent of worker count and scheduling:
 //
@@ -153,6 +154,8 @@ const DefaultLeaseSize = 64
 // counter bounce on every replay.
 type runMetrics struct {
 	execs        *obs.Counter // completed replays (flushed per lease)
+	replays      *obs.Counter // completed plus pruned replays (flushed per lease)
+	steps        *obs.Counter // Step calls the replays executed (flushed per lease)
 	restored     *obs.Counter // executions primed from a resumed checkpoint
 	violations   *obs.Counter
 	prunes       *obs.Counter // replays halted at an already-covered state
@@ -173,6 +176,8 @@ type runMetrics struct {
 func newRunMetrics(reg *obs.Registry, workers int) *runMetrics {
 	m := &runMetrics{
 		execs:        reg.Counter("explore.executions"),
+		replays:      reg.Counter("explore.replays"),
+		steps:        reg.Counter("explore.steps"),
 		restored:     reg.Counter("explore.executions.restored"),
 		violations:   reg.Counter("explore.violations"),
 		prunes:       reg.Counter("explore.dedup.prunes"),
@@ -540,10 +545,14 @@ func (p *capPool) abort() {
 
 // workerLease is one worker's current slice of the execution cap: avail
 // units may still be spent, used units are spent but not yet flushed to the
-// shared counters.
+// shared counters. It also carries the worker's other unflushed tallies.
 type workerLease struct {
 	avail int64
 	used  int64
+	// replays counts the replays run since the last flush, pruned or not.
+	replays int64
+	// steps is the worker runner's StepCalls at the last flush.
+	steps int64
 }
 
 // flush publishes a worker's locally tallied executions to the shared
@@ -555,11 +564,19 @@ type workerLease struct {
 // total advance in the same batch, so the report schema's worker-sum
 // invariant (Σ worker executions + restored == total) holds at every flush
 // boundary — in particular in every final report, even after cancellation
-// mid-lease.
-func (r *engineRun) flush(w int, l *workerLease, releaseUnused bool) {
+// mid-lease. The replay and step tallies ride along.
+func (r *engineRun) flush(w int, l *workerLease, es *execState, releaseUnused bool) {
 	if l.used > 0 {
 		r.m.execs.Add(l.used)
 		r.m.workerExecs[w].Add(l.used)
+	}
+	if l.replays > 0 {
+		r.m.replays.Add(l.replays)
+		l.replays = 0
+	}
+	if steps := es.stepped.StepCalls(); steps > l.steps {
+		r.m.steps.Add(steps - l.steps)
+		l.steps = steps
 	}
 	var unused int64
 	if releaseUnused {
@@ -616,7 +633,7 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 		finished := r.runSubtree(ctx, w, t, es, &l)
 		// Settle before blocking on the frontier (or exiting): a worker
 		// waiting for work must not sit on leased capacity.
-		r.flush(w, &l, true)
+		r.flush(w, &l, es, true)
 		r.fr.done(w, finished)
 		if !finished {
 			return
@@ -624,7 +641,7 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 	}
 }
 
-// runSubtree enumerates the subtree task by stateless replay, donating
+// runSubtree enumerates the subtree task by replay, donating
 // sub-subtrees to the frontier whenever it runs low. It reports whether the
 // task was finished: fully enumerated, or abandoned because no leaf below it
 // can improve the canonical counterexample (bound pruning) or because its
@@ -639,8 +656,6 @@ func (r *engineRun) worker(ctx context.Context, w int) {
 func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState, l *workerLease) bool {
 	c := es.c
 	c.path = append(c.path[:0], t.path...)
-	c.arity = c.arity[:0]
-	c.pos = 0
 	c.lb = t.floor
 	var localSteps, localFaults int
 	var taskExecs int64
@@ -666,7 +681,7 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			// Lease boundary: reconcile the spent lease, refresh the
 			// slot's resume point, fold the maxima, and reserve the next
 			// batch.
-			r.flush(w, l, false)
+			r.flush(w, l, es, false)
 			r.fr.publish(w, c.path, c.lb)
 			r.mergeMaxima(localSteps, localFaults)
 			n, ok := r.pool.acquire(r.leaseSize)
@@ -680,8 +695,6 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			}
 			l.avail = n
 		}
-		c.arity = c.arity[:0]
-		c.pos = 0
 		verdict, stats, pruned, err := es.runLeaf(ctx)
 		if err != nil {
 			if ctx.Err() == nil {
@@ -689,6 +702,7 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 			}
 			return false
 		}
+		l.replays++
 		if r.set != nil {
 			r.set.LeafLookup()
 		}
@@ -713,7 +727,6 @@ func (r *engineRun) runSubtree(ctx context.Context, w int, t task, es *execState
 				return true // the whole task is covered elsewhere
 			}
 			c.path = c.path[:es.prunedAt]
-			c.arity = c.arity[:es.prunedAt]
 			if !c.next() {
 				return true
 			}

@@ -61,8 +61,24 @@ func TestDedupStatsLeafAccounting(t *testing.T) {
 		t.Errorf("HitRate() = %v, implausible for the known sweep", st.HitRate())
 	}
 	// The per-step ratio is the misreporting bug: the honest rate must be
-	// far above it (Lookups counts every scheduling decision).
-	if oldRate := float64(st.Hits) / float64(st.Lookups); st.HitRate() < 5*oldRate {
+	// far above it. The per-step denominator is taken from the from-root
+	// oracle, whose Lookups count every scheduling decision of every leaf;
+	// resumed replays probe only the decisions they execute, and must
+	// report the same leaf-level counts.
+	var root leafLog
+	root.fromRoot = true
+	rootOut, err := (&Engine{Workers: 1, Dedup: true}).Check(context.Background(), root.attach(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rst := rootOut.Dedup
+	if rst.Hits != st.Hits || rst.LeafLookups != st.LeafLookups {
+		t.Errorf("from-root hits/leaf lookups = %d/%d, resumed %d/%d", rst.Hits, rst.LeafLookups, st.Hits, st.LeafLookups)
+	}
+	if st.Lookups >= rst.Lookups {
+		t.Errorf("resumed replays probed %d times, from-root replays %d", st.Lookups, rst.Lookups)
+	}
+	if oldRate := float64(st.Hits) / float64(rst.Lookups); st.HitRate() < 5*oldRate {
 		t.Errorf("HitRate() = %v, not meaningfully above the per-step ratio %v", st.HitRate(), oldRate)
 	}
 	// The engine's prune site and the set's counters agree, and the gauges

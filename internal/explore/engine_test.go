@@ -249,16 +249,20 @@ func TestEngineImmediateCancel(t *testing.T) {
 // with monotone execution counts while a long run is in flight.
 func TestEngineProgressReports(t *testing.T) {
 	var reports []Progress
+	// The reporter goroutine shares the CPUs with busy workers and may not
+	// run until they are preempted, so the enumeration (59,004 executions,
+	// tens of milliseconds) must outlast several preemption slices and the
+	// tick must be short for any report to arrive.
 	eng := &Engine{
 		Workers:       2,
-		ProgressEvery: 10 * time.Millisecond,
+		ProgressEvery: time.Millisecond,
 		Progress:      func(p Progress) { reports = append(reports, p) },
 	}
 	out, err := eng.Check(context.Background(), Config{
 		Protocol:        core.NewStaged(1, 1),
 		Inputs:          inputs(2),
 		FaultyObjects:   []int{0, 1, 2},
-		FaultsPerObject: 1,
+		FaultsPerObject: fault.Unbounded,
 	})
 	if err != nil {
 		t.Fatal(err)

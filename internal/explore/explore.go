@@ -5,13 +5,15 @@
 // inputs, the scheduler's choices, and the fault choices (Definition 1
 // faults fire only at operation boundaries, so a binary choice per
 // admissible, observable CAS captures the entire adversary). The checker
-// therefore enumerates the execution tree by stateless replay: each run is
-// driven by a choice path; after the run, the deepest branch point with an
-// untaken alternative is advanced (depth-first, odometer style) and the
-// execution is replayed from scratch. Wait-freedom of the protocols makes
-// every path finite, so for small configurations the enumeration is
-// complete — an empirical proof of the paper's possibility theorems, and a
-// counterexample finder for its impossibility theorems.
+// therefore enumerates the execution tree by replay: each run is driven by
+// a choice path; after the run, the deepest branch point with an untaken
+// alternative is advanced (depth-first, odometer style) and the next
+// execution resumes from the flat machine state saved at the deepest
+// scheduling decision the two paths share, so only the new suffix is
+// executed. Wait-freedom of the protocols makes every path finite, so for
+// small configurations the enumeration is complete — an empirical proof of
+// the paper's possibility theorems, and a counterexample finder for its
+// impossibility theorems.
 package explore
 
 import (
@@ -59,7 +61,9 @@ type Config struct {
 	// fault choices with a deterministic policy (still subject to the
 	// budget), so only scheduling is explored. The reduced model of
 	// Theorem 18 — one process whose CAS executions are always faulty —
-	// is expressed this way.
+	// is expressed this way. The policy must be a pure function of the
+	// invocation: replays resume mid-execution, so a policy that counts
+	// or draws per call would see only each replay's new suffix.
 	FixedPolicy fault.Policy
 	// MaxExecutions caps the enumeration. 0 means DefaultMaxExecutions.
 	MaxExecutions int
@@ -73,6 +77,11 @@ type Config struct {
 	// persistent sets computed from the step machines' object footprints
 	// (verdict-preserving only).
 	Reduce run.ReduceMode
+
+	// onLeaf, when set, is called at the end of every replay that was not
+	// cut short by an error, pruned or not. Tests observe the leaf
+	// sequence through it.
+	onLeaf func(es *execState, verdict run.Verdict, pruned bool)
 }
 
 // DefaultMaxExecutions bounds the enumeration when Config.MaxExecutions is 0.
@@ -139,10 +148,14 @@ func (o *Outcome) OK() bool { return o.Violation == nil }
 
 // chooser drives one replayed execution along a fixed decision prefix,
 // extending it with first-branch (0) decisions and recording each branch
-// point's arity for backtracking.
+// point's arity for backtracking. Callers set path (and lb) between
+// replays; arity and taken are the replay's record and only it writes them.
 type chooser struct {
 	path  []int
 	arity []int
+	// taken is the choice sequence the most recent replay consumed: the
+	// replay compares it with the next path to find where to resume.
+	taken []int
 	pos   int
 	// lb is the backtracking floor: next never retracts a choice at a
 	// position below lb. The sequential checker uses lb = 0 (the whole
@@ -166,6 +179,7 @@ func (c *chooser) choose(n int) int {
 		panic(fmt.Sprintf("explore: stale choice %d of %d at position %d", pick, n, c.pos))
 	}
 	c.arity = append(c.arity, n)
+	c.taken = append(c.taken[:c.pos], pick)
 	c.pos++
 	return pick
 }
@@ -425,8 +439,6 @@ func Check(cfg Config) (*Outcome, error) {
 	c := &chooser{}
 	es := newExecState(cfg, kind, c, nil)
 	for out.Executions < cap {
-		c.arity = c.arity[:0]
-		c.pos = 0
 		verdict, stats, pruned, err := es.runLeaf(context.Background())
 		if err != nil {
 			return nil, err
@@ -440,7 +452,6 @@ func Check(cfg Config) (*Outcome, error) {
 				return out, nil
 			}
 			c.path = c.path[:es.prunedAt]
-			c.arity = c.arity[:es.prunedAt]
 			if !c.next() {
 				out.Complete = true
 				return out, nil
@@ -474,8 +485,15 @@ type runStats struct {
 // execState is the reusable replay machinery of one enumeration loop (one
 // sequential Check, or one engine worker): the fault budget, the object
 // bank, the protocol's step machines on the stepped runner, the trace log,
-// the schedule buffer, and the verdict evaluator. All of it is allocated
-// once and reset per leaf, so replays allocate nothing on their hot path.
+// the schedule buffer, the verdict evaluator, and the frame stack. All of
+// it is allocated once and reused per leaf, so replays allocate nothing on
+// their hot path.
+//
+// Replays are incremental. Every scheduling decision pushes a frame: the
+// flat machine state at that step boundary. The next replay resumes from
+// the deepest frame whose choices are a prefix of its path, so a leaf costs
+// the steps of its new suffix, not of its whole path, and a pruned leaf
+// backtracks without re-descending from the root.
 type execState struct {
 	cfg Config
 	c   *chooser
@@ -497,8 +515,34 @@ type execState struct {
 	schedule []int
 	eval     *run.Evaluator
 
+	prog       *run.SteppedExec
 	stepped    *sim.Stepped
 	steppedCfg sim.SteppedConfig
+
+	// frames holds one frame per scheduling decision of the most recent
+	// replay, along the choices in c.taken. Slots past the length keep
+	// their storage for reuse.
+	frames []frame
+	// resuming is set while a replay restored from a frame has not yet
+	// reached that frame's decision again.
+	resuming bool
+}
+
+// frame is the flat machine state at one scheduling decision, taken after
+// the decision's sleep-set fold and dedup probe and before its choice.
+// Everything in it is a function of the choices consumed before the
+// decision (c.taken[:pos]), so any replay whose path starts with those
+// choices can continue from it.
+type frame struct {
+	pos      int // choices consumed before the decision
+	logLen   int
+	schedLen int
+	sleep    uint64 // the reducer's sleep set
+	sim      sim.SteppedState
+	states   []core.State
+	bank     object.BankState
+	budget   fault.BudgetState
+	tracker  dedup.TrackerState
 }
 
 // newExecState builds the replay machinery for one enumeration loop driven
@@ -533,15 +577,15 @@ func newExecState(cfg Config, kind fault.Kind, c *chooser, dh *dedupHandle) *exe
 		observer = es.tracker.Observe
 	}
 	stepper, _ := core.Compile(cfg.Protocol)
-	prog := run.NewSteppedExec(stepper, es.bank, cfg.Inputs)
+	es.prog = run.NewSteppedExec(stepper, es.bank, cfg.Inputs)
 	if es.red != nil {
-		es.red.pendingOf = prog.Pending
-		es.red.footprintOf = prog.Footprint
+		es.red.pendingOf = es.prog.Pending
+		es.red.footprintOf = es.prog.Footprint
 	}
 	es.stepped = sim.NewStepped(len(cfg.Inputs))
 	es.steppedCfg = sim.SteppedConfig{
 		Procs:     len(cfg.Inputs),
-		Program:   prog,
+		Program:   es.prog,
 		Scheduler: sim.SchedulerFunc(es.schedNext),
 		StepLimit: limit,
 		Log:       es.log,
@@ -567,26 +611,33 @@ func choicePolicy(budget *fault.Budget, kind fault.Kind, c *chooser) fault.Polic
 
 // schedNext is the replay scheduler: it folds the previous step into the
 // reducer (when on), consults the dedup set (when on) before consuming each
-// scheduling decision, then follows the choice path through the branch
-// alternatives this node exposes — the enabled set, or the reducer's
-// filtered candidate set.
+// scheduling decision, pushes the decision's frame, then follows the choice
+// path through the branch alternatives this node exposes — the enabled set,
+// or the reducer's filtered candidate set.
 func (es *execState) schedNext(enabled []int) (int, bool) {
 	c := es.c
-	if es.red != nil {
-		es.red.advance()
-	}
-	if es.dh != nil {
-		fp := es.tracker.Fingerprint()
+	if es.resuming {
+		// This decision's frame was restored: its fold and probe already
+		// ran, and the frame is still on the stack.
+		es.resuming = false
+	} else {
 		if es.red != nil {
-			// Same state, different sleep set ⇒ different explored
-			// successors; only identical pairs may merge.
-			fp = es.red.salt(fp)
+			es.red.advance()
 		}
-		if es.dh.set.Visit(fp, c.path[:c.pos]) == dedup.Prune {
-			es.prunedAt = c.pos
-			es.pruneSleep = false
-			return 0, false
+		if es.dh != nil {
+			fp := es.tracker.Fingerprint()
+			if es.red != nil {
+				// Same state, different sleep set ⇒ different explored
+				// successors; only identical pairs may merge.
+				fp = es.red.salt(fp)
+			}
+			if es.dh.set.Visit(fp, c.path[:c.pos]) == dedup.Prune {
+				es.prunedAt = c.pos
+				es.pruneSleep = false
+				return 0, false
+			}
 		}
+		es.push()
 	}
 	if es.red == nil {
 		pick := enabled[0]
@@ -614,31 +665,122 @@ func (es *execState) schedNext(enabled []int) (int, bool) {
 	return pick, true
 }
 
-// runLeaf replays one execution along the chooser's path, reusing the
-// execState's machinery. When dedup or reduction is on and the replay
-// reaches a state already claimed by a lexicographically smaller path (or a
-// sleep-blocked node), it halts early and reports pruned=true (es.prunedAt
-// records where, es.pruneSleep which mechanism); the replay is then neither
-// evaluated nor counted — any violation visible in the halted prefix also
-// appears below a smaller path.
-//
-// The returned verdict borrows slices owned by the stepped runner and the
-// execState; callers retaining a leaf (violations, trace samples) must go
-// through counterexample, which clones everything.
-func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, error) {
+// push saves the machine state at the current scheduling decision as a new
+// top frame.
+func (es *execState) push() {
+	n := len(es.frames)
+	if n < cap(es.frames) {
+		es.frames = es.frames[:n+1]
+	} else {
+		es.frames = append(es.frames, frame{})
+	}
+	f := &es.frames[n]
+	f.pos = es.c.pos
+	f.logLen = es.log.Len()
+	f.schedLen = len(es.schedule)
+	es.stepped.Save(&f.sim)
+	f.states = append(f.states[:0], es.prog.States()...)
+	es.bank.Save(&f.bank)
+	es.budget.Save(&f.budget)
+	if es.tracker != nil {
+		es.tracker.Save(&f.tracker)
+	}
+	if es.red != nil {
+		f.sleep = es.red.sleep
+	}
+}
+
+// resumeFrame returns the deepest frame the next replay may resume from,
+// or -1 when it must start at the root: a frame is valid when the choices
+// consumed before it are a prefix of the chooser's path. Frames are pushed
+// with non-decreasing pos, so the scan stops at the first valid one.
+func (es *execState) resumeFrame() int {
+	c := es.c
+	lcp := 0
+	for lcp < len(c.taken) && lcp < len(c.path) && c.taken[lcp] == c.path[lcp] {
+		lcp++
+	}
+	k := len(es.frames) - 1
+	for k >= 0 && es.frames[k].pos > lcp {
+		k--
+	}
+	return k
+}
+
+// restore rewinds every part of the machine to frame k, drops the frames
+// above it, and arms resuming so the frame's decision is taken afresh.
+func (es *execState) restore(k int) {
+	f := &es.frames[k]
+	es.frames = es.frames[:k+1]
+	c := es.c
+	c.pos = f.pos
+	c.arity = c.arity[:f.pos]
+	c.taken = c.taken[:f.pos]
+	es.log.Truncate(f.logLen)
+	es.schedule = es.schedule[:f.schedLen]
+	es.stepped.Restore(&f.sim)
+	copy(es.prog.States(), f.states)
+	es.bank.Restore(&f.bank)
+	es.budget.Restore(&f.budget)
+	if es.tracker != nil {
+		es.tracker.Restore(&f.tracker)
+	}
+	if es.red != nil {
+		es.red.reset()
+		es.red.sleep = f.sleep
+	}
+	es.resuming = true
+}
+
+// reset returns the machine to the root: no frames, no choices consumed.
+func (es *execState) reset() {
+	c := es.c
+	c.pos = 0
+	c.arity = c.arity[:0]
+	c.taken = c.taken[:0]
+	es.frames = es.frames[:0]
 	es.budget.Reset()
 	es.bank.Reset()
 	es.log.Reset()
 	es.schedule = es.schedule[:0]
-	es.prunedAt = -1
 	if es.tracker != nil {
 		es.tracker.Reset()
 	}
 	if es.red != nil {
 		es.red.reset()
 	}
+	es.resuming = false
+}
 
-	res, err := es.stepped.Run(ctx, es.steppedCfg)
+// runLeaf runs one execution along the chooser's path, resuming from the
+// deepest frame the path shares with the previous replay (from the root
+// when there is none). When dedup or reduction is on and the replay
+// reaches a state already claimed by a lexicographically smaller path (or a
+// sleep-blocked node), it halts early and reports pruned=true (es.prunedAt
+// records where, es.pruneSleep which mechanism); the replay is then neither
+// evaluated nor counted — any violation visible in the halted prefix also
+// appears below a smaller path.
+//
+// Resuming skips the dedup probes of the decisions above the frame. With
+// one worker each of them would return Revisit, so the leaf sequence is
+// the same as a replay from the root; with several workers a prefix state
+// re-claimed by another worker in the meantime is not re-probed, which can
+// only add leaves (see docs/MODEL.md, "Resume from frames").
+//
+// The returned verdict borrows slices owned by the stepped runner and the
+// execState; callers retaining a leaf (violations, trace samples) must go
+// through counterexample, which clones everything.
+func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, error) {
+	es.prunedAt = -1
+	var res *sim.Result
+	var err error
+	if k := es.resumeFrame(); k >= 0 {
+		es.restore(k)
+		res, err = es.stepped.Resume(ctx, es.steppedCfg)
+	} else {
+		es.reset()
+		res, err = es.stepped.Run(ctx, es.steppedCfg)
+	}
 	if err != nil && res == nil {
 		return run.Verdict{}, runStats{}, false, err
 	}
@@ -648,10 +790,17 @@ func (es *execState) runLeaf(ctx context.Context) (run.Verdict, runStats, bool, 
 		return run.Verdict{}, runStats{}, false, err
 	}
 	if es.prunedAt >= 0 {
+		if es.cfg.onLeaf != nil {
+			es.cfg.onLeaf(es, run.Verdict{}, true)
+		}
 		return run.Verdict{}, runStats{}, true, nil
 	}
 
-	return es.eval.Evaluate(res, err), statsOf(res, es.budget), false, nil
+	verdict := es.eval.Evaluate(res, err)
+	if es.cfg.onLeaf != nil {
+		es.cfg.onLeaf(es, verdict, false)
+	}
+	return verdict, statsOf(res, es.budget), false, nil
 }
 
 // statsOf tallies one finished execution: its largest per-process step

@@ -93,8 +93,6 @@ func FindMinimal(cfg Config) (*Counterexample, *Outcome, error) {
 	c := &chooser{}
 	es := newExecState(cfg, kind, c, nil)
 	for out.Executions < cap {
-		c.arity = c.arity[:0]
-		c.pos = 0
 		verdict, stats, _, err := es.runLeaf(context.Background())
 		if err != nil {
 			return nil, nil, err

@@ -74,15 +74,27 @@ const Unbounded = -1
 // to which objects are faulty) or discovered lazily (first f distinct objects
 // that fault become the faulty set).
 //
+// The charges are a flat slice indexed by object id, with a running total,
+// so TotalFaults is O(1) and the model checker can save and restore a
+// budget (Save, Restore) with one slice copy.
+//
 // Budget is not safe for concurrent use; the simulator serializes all steps.
 // The atomicx backend wraps it in a mutex.
 type Budget struct {
 	f int // max faulty objects
 	t int // max faults per faulty object, or Unbounded
 
-	faulty map[int]int // object id -> faults charged
-	fixed  bool        // faulty set fixed up front
+	// charges[id] is the number of faults charged to object id, or
+	// notFaulty when the object is outside the faulty set. Ids beyond the
+	// slice are outside it too.
+	charges []int
+	members int  // objects in the faulty set
+	total   int  // sum of the members' charges
+	fixed   bool // faulty set fixed up front
 }
+
+// notFaulty marks an object outside the faulty set in Budget.charges.
+const notFaulty = -1
 
 // NewBudget returns a budget admitting at most maxFaultyObjects faulty
 // objects with at most faultsPerObject faults each (Unbounded for t = ∞).
@@ -94,11 +106,7 @@ func NewBudget(maxFaultyObjects, faultsPerObject int) *Budget {
 	if faultsPerObject < 0 && faultsPerObject != Unbounded {
 		panic("fault: negative per-object fault bound")
 	}
-	return &Budget{
-		f:      maxFaultyObjects,
-		t:      faultsPerObject,
-		faulty: make(map[int]int),
-	}
+	return &Budget{f: maxFaultyObjects, t: faultsPerObject}
 }
 
 // NewFixedBudget returns a budget whose faulty-object set is exactly the
@@ -108,20 +116,42 @@ func NewFixedBudget(objects []int, faultsPerObject int) *Budget {
 	b := NewBudget(len(objects), faultsPerObject)
 	b.fixed = true
 	for _, id := range objects {
-		b.faulty[id] = 0
+		b.join(id)
 	}
 	return b
+}
+
+// join adds the object to the faulty set with no charges.
+func (b *Budget) join(object int) {
+	if object < 0 {
+		panic(fmt.Sprintf("fault: negative object id %d", object))
+	}
+	for len(b.charges) <= object {
+		b.charges = append(b.charges, notFaulty)
+	}
+	if b.charges[object] == notFaulty {
+		b.charges[object] = 0
+		b.members++
+	}
+}
+
+// used returns the object's charges, or notFaulty outside the faulty set.
+func (b *Budget) used(object int) int {
+	if object < 0 || object >= len(b.charges) {
+		return notFaulty
+	}
+	return b.charges[object]
 }
 
 // Admits reports whether one more fault on the given object would stay
 // within the budget. It does not charge the budget.
 func (b *Budget) Admits(object int) bool {
-	used, known := b.faulty[object]
-	if !known {
-		if b.fixed {
-			return false // object is outside the fixed faulty set
+	used := b.used(object)
+	if used == notFaulty {
+		if b.fixed || object < 0 {
+			return false // outside the fixed faulty set, or not an object id
 		}
-		if len(b.faulty) >= b.f {
+		if b.members >= b.f {
 			return false // would exceed f faulty objects
 		}
 		used = 0
@@ -136,30 +166,28 @@ func (b *Budget) Charge(object int) {
 	if !b.Admits(object) {
 		panic(fmt.Sprintf("fault: budget violated charging object %d", object))
 	}
-	b.faulty[object]++
+	b.join(object)
+	b.charges[object]++
+	b.total++
 }
 
 // FaultyObjects returns the ids of objects that are designated faulty (fixed
-// set) or have faulted at least once (lazy set), in unspecified order.
+// set) or have faulted at least once (lazy set), in ascending order.
 func (b *Budget) FaultyObjects() []int {
-	ids := make([]int, 0, len(b.faulty))
-	for id := range b.faulty {
-		ids = append(ids, id)
+	ids := make([]int, 0, b.members)
+	for id, n := range b.charges {
+		if n != notFaulty {
+			ids = append(ids, id)
+		}
 	}
 	return ids
 }
 
 // Faults returns the number of faults charged to the object so far.
-func (b *Budget) Faults(object int) int { return b.faulty[object] }
+func (b *Budget) Faults(object int) int { return max(b.used(object), 0) }
 
 // TotalFaults returns the number of faults charged across all objects.
-func (b *Budget) TotalFaults() int {
-	total := 0
-	for _, n := range b.faulty {
-		total += n
-	}
-	return total
-}
+func (b *Budget) TotalFaults() int { return b.total }
 
 // MaxFaultyObjects returns the f parameter.
 func (b *Budget) MaxFaultyObjects() int { return b.f }
@@ -172,21 +200,45 @@ func (b *Budget) FaultsPerObject() int { return b.t }
 // forgets the discovered objects. Replay loops reuse one budget this way
 // instead of cloning per execution.
 func (b *Budget) Reset() {
-	if b.fixed {
-		for id := range b.faulty {
-			b.faulty[id] = 0
+	for id, n := range b.charges {
+		switch {
+		case n == notFaulty:
+		case b.fixed:
+			b.charges[id] = 0
+		default:
+			b.charges[id] = notFaulty
 		}
-		return
 	}
-	clear(b.faulty)
+	if !b.fixed {
+		b.members = 0
+	}
+	b.total = 0
 }
 
 // Clone returns an independent copy of the budget, used by the model checker
 // to replay executions from a pristine state.
 func (b *Budget) Clone() *Budget {
-	c := &Budget{f: b.f, t: b.t, fixed: b.fixed, faulty: make(map[int]int, len(b.faulty))}
-	for id, n := range b.faulty {
-		c.faulty[id] = n
-	}
-	return c
+	c := *b
+	c.charges = append([]int(nil), b.charges...)
+	return &c
+}
+
+// BudgetState is a saved copy of a budget's charges (Budget.Save). Its
+// storage is reused by every Save into it.
+type BudgetState struct {
+	charges        []int
+	members, total int
+}
+
+// Save copies the budget's charges into dst.
+func (b *Budget) Save(dst *BudgetState) {
+	dst.charges = append(dst.charges[:0], b.charges...)
+	dst.members, dst.total = b.members, b.total
+}
+
+// Restore returns the budget to the charges saved in src, which must come
+// from a Save of this budget.
+func (b *Budget) Restore(src *BudgetState) {
+	b.charges = append(b.charges[:0], src.charges...)
+	b.members, b.total = src.members, src.total
 }

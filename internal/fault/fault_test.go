@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -246,5 +247,51 @@ func TestWhenEffectiveDropsNoOpWrites(t *testing.T) {
 	silent := WhenEffective(Always(Silent))
 	if got := silent.Decide(Op{Exp: cur, Current: cur, New: cur}).Kind; got != None {
 		t.Errorf("silent with New == Current must be dropped, got %v", got)
+	}
+}
+
+// TestBudgetTotalFaultsTracksCharges drives fixed and lazy budgets through a
+// random sequence of Charge, Reset, Clone and Save/Restore calls and checks
+// after every step that the running total equals the sum of the per-object
+// charges.
+func TestBudgetTotalFaultsTracksCharges(t *testing.T) {
+	const objects = 6
+	sum := func(b *Budget) int {
+		n := 0
+		for id := 0; id < objects; id++ {
+			n += b.Faults(id)
+		}
+		return n
+	}
+	budgets := map[string]func() *Budget{
+		"fixed": func() *Budget { return NewFixedBudget([]int{1, 3, 4}, 3) },
+		"lazy":  func() *Budget { return NewBudget(2, Unbounded) },
+	}
+	for name, mk := range budgets {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			b := mk()
+			var saved BudgetState
+			b.Save(&saved)
+			for step := 0; step < 5000; step++ {
+				switch op := rng.Intn(20); {
+				case op == 0:
+					b.Reset()
+				case op == 1:
+					b = b.Clone()
+				case op == 2:
+					b.Save(&saved)
+				case op == 3:
+					b.Restore(&saved)
+				default:
+					if id := rng.Intn(objects); b.Admits(id) {
+						b.Charge(id)
+					}
+				}
+				if got, want := b.TotalFaults(), sum(b); got != want {
+					t.Fatalf("step %d: TotalFaults() = %d, sum of Faults = %d", step, got, want)
+				}
+			}
+		})
 	}
 }

@@ -51,6 +51,31 @@ func (b *Bank) Reset() {
 // Ops returns the number of CAS invocations executed so far.
 func (b *Bank) Ops() int64 { return b.ops }
 
+// BankState is a saved copy of a bank's register contents and invocation
+// count (Bank.Save). Its storage is reused by every Save into it.
+type BankState struct {
+	contents []word.Word
+	ops      int64
+}
+
+// Save copies every register's content and the invocation count into dst.
+func (b *Bank) Save(dst *BankState) {
+	dst.contents = dst.contents[:0]
+	for _, o := range b.objs {
+		dst.contents = append(dst.contents, o.content)
+	}
+	dst.ops = b.ops
+}
+
+// Restore returns every register and the invocation count to the values
+// saved in src, which must come from a Save of this bank.
+func (b *Bank) Restore(src *BankState) {
+	for i, o := range b.objs {
+		o.content = src.contents[i]
+	}
+	b.ops = src.ops
+}
+
 // Bind returns the bank as seen by one simulated process: an environment
 // whose CAS method takes one scheduled atomic step.
 func (b *Bank) Bind(p *sim.Proc) core.Env { return &Array{bank: b, p: p} }

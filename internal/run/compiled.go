@@ -71,6 +71,12 @@ func NewSteppedExec(stepper core.Stepper, bank *object.Bank, inputs []int64) *St
 // Begin implements sim.SteppedProgram.
 func (x *SteppedExec) Begin(id int) { x.states[id] = x.stepper.Begin(x.inputs[id]) }
 
+// States returns the per-process machine states, indexed by process id.
+// The slice is the adapter's own: the model checker copies it out at a
+// step boundary and back in to resume from there, which the Stepper
+// contract allows because a machine keeps all its state in its State.
+func (x *SteppedExec) States() []core.State { return x.states }
+
 // PendingOp is the CAS a process issues on its next step: the object index
 // and the exp/new arguments.
 type PendingOp struct {

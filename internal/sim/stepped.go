@@ -96,9 +96,12 @@ type Stepped struct {
 	steps     []int
 	stalled   []bool
 	runnable  []bool
+	live      int
 	enabled   []int
 	rec       StepRecorder
 	res       Result
+	// calls counts Step calls over the runner's lifetime (StepCalls).
+	calls int64
 }
 
 // NewStepped returns a reusable stepped runner for n processes.
@@ -126,20 +129,10 @@ func NewStepped(n int) *Stepped {
 // wait-freedom violation or program panic. Run never returns both a nil
 // Result and a nil error.
 func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
-	if cfg.Procs != s.n {
-		return nil, fmt.Errorf("sim: %d processes for a %d-process stepped runner", cfg.Procs, s.n)
+	limit, err := s.check(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Program == nil {
-		return nil, errors.New("sim: no program")
-	}
-	if cfg.Scheduler == nil {
-		return nil, errors.New("sim: no scheduler")
-	}
-	limit := cfg.StepLimit
-	if limit <= 0 {
-		limit = DefaultStepLimit
-	}
-
 	for i := 0; i < s.n; i++ {
 		s.decided[i] = false
 		s.decisions[i] = word.Bottom
@@ -147,8 +140,7 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 		s.stalled[i] = false
 		s.runnable[i] = true
 	}
-	s.rec = StepRecorder{log: cfg.Log, observer: cfg.Observer}
-	live := s.n
+	s.live = s.n
 
 	// Initialization phase: the counterpart of the reference runner's
 	// collection phase. Begin performs no shared-memory step, so afterwards every
@@ -159,11 +151,45 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 			return nil, err
 		}
 	}
+	return s.loop(ctx, cfg, limit)
+}
 
-	// Main loop: grant one step at a time. Structure and error strings
-	// track the reference runner exactly — the differential checker
-	// compares both runners consuming scheduler decisions identically.
-	for live > 0 {
+// Resume continues an execution from the runner's current state, between
+// two steps, without re-initializing any process: typically a state
+// installed by Restore, with the program's and the objects' state restored
+// to the same step boundary by the caller. cfg must describe the execution
+// the state came from. The result and errors are Run's.
+func (s *Stepped) Resume(ctx context.Context, cfg SteppedConfig) (*Result, error) {
+	limit, err := s.check(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.loop(ctx, cfg, limit)
+}
+
+// check validates cfg and returns the effective step limit.
+func (s *Stepped) check(cfg SteppedConfig) (int, error) {
+	if cfg.Procs != s.n {
+		return 0, fmt.Errorf("sim: %d processes for a %d-process stepped runner", cfg.Procs, s.n)
+	}
+	if cfg.Program == nil {
+		return 0, errors.New("sim: no program")
+	}
+	if cfg.Scheduler == nil {
+		return 0, errors.New("sim: no scheduler")
+	}
+	if cfg.StepLimit <= 0 {
+		return DefaultStepLimit, nil
+	}
+	return cfg.StepLimit, nil
+}
+
+// loop grants one step at a time until the execution ends. Structure and
+// error strings track the reference runner exactly — the differential
+// checker compares both runners consuming scheduler decisions identically.
+func (s *Stepped) loop(ctx context.Context, cfg SteppedConfig, limit int) (*Result, error) {
+	s.rec = StepRecorder{log: cfg.Log, observer: cfg.Observer}
+	for s.live > 0 {
 		if err := ctx.Err(); err != nil {
 			return s.result(cfg, true), err
 		}
@@ -188,6 +214,7 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 		if s.steps[pick] > limit {
 			return s.result(cfg, false), fmt.Errorf("%w: process %d exceeded %d steps", ErrWaitFreedom, pick, limit)
 		}
+		s.calls++
 		out, err := stepProc(cfg.Program, pick, &s.rec)
 		if err != nil {
 			return nil, err
@@ -196,18 +223,57 @@ func (s *Stepped) Run(ctx context.Context, cfg SteppedConfig) (*Result, error) {
 		case out.Stalled:
 			s.stalled[pick] = true
 			s.runnable[pick] = false
-			live--
+			s.live--
 		case out.Done:
 			s.decided[pick] = true
 			s.decisions[pick] = out.Decision
 			s.runnable[pick] = false
-			live--
+			s.live--
 			// The decide event follows the step's own events, as in the
 			// goroutine path (the program returns after its final CAS).
 			s.rec.Record(trace.Event{Kind: trace.EventDecide, Proc: pick, Value: out.Decision})
 		}
 	}
 	return s.result(cfg, false), nil
+}
+
+// StepCalls returns the number of Step calls the runner has made over its
+// lifetime, across every Run and Resume.
+func (s *Stepped) StepCalls() int64 { return s.calls }
+
+// SteppedState is a saved copy of a stepped runner's per-process state at
+// a step boundary (Stepped.Save). Its storage is reused by every Save into
+// it.
+type SteppedState struct {
+	decided   []bool
+	decisions []word.Word
+	steps     []int
+	stalled   []bool
+}
+
+// Save copies the runner's per-process state into dst. Call it between two
+// steps — from the scheduler, which the runner consults at each step
+// boundary.
+func (s *Stepped) Save(dst *SteppedState) {
+	dst.decided = append(dst.decided[:0], s.decided...)
+	dst.decisions = append(dst.decisions[:0], s.decisions...)
+	dst.steps = append(dst.steps[:0], s.steps...)
+	dst.stalled = append(dst.stalled[:0], s.stalled...)
+}
+
+// Restore returns the runner to the state saved in src, ready for Resume.
+func (s *Stepped) Restore(src *SteppedState) {
+	copy(s.decided, src.decided)
+	copy(s.decisions, src.decisions)
+	copy(s.steps, src.steps)
+	copy(s.stalled, src.stalled)
+	s.live = 0
+	for i := range s.runnable {
+		s.runnable[i] = !s.decided[i] && !s.stalled[i]
+		if s.runnable[i] {
+			s.live++
+		}
+	}
 }
 
 // beginProc initializes one process, converting a panic into the same

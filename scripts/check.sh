@@ -75,14 +75,18 @@ echo "== exec-form equivalence gate (compiled form vs goroutine reference, cover
 # gate re-runs every time.
 go test -count=1 -run TestCompiledMatchesInterpreted ./internal/explore/
 
-echo "== reduction-equivalence gate (reduced vs full exploration, fresh, race) =="
+echo "== reduction-equivalence gate (reduced vs full exploration, resumed vs from-root replay, fresh, race) =="
 # Partial-order reduction must not change what the checker reports: every
 # differential case (clean and violating sweeps of every protocol family)
 # is re-explored with reduce=on and any divergence in verdict, completeness,
 # counterexample schedule, decisions, or trace log fails the gate. The
 # reducer's sleep/symmetry bookkeeping is shared mutable state on the branch
-# path, so this gate runs under the race detector, uncached.
-go test -count=1 -race -run TestReduceMatchesFull ./internal/explore/
+# path, so this gate runs under the race detector, uncached. The same gate
+# holds incremental replay to the replay-from-root oracle: every protocol
+# family, fault kind, dedup and reduction setting, sequential and one-worker
+# engine, must produce the identical leaf sequence and outcome whether each
+# replay resumes from a saved frame or starts at the root.
+go test -count=1 -race -run 'TestReduceMatchesFull|TestResumeMatchesFromRoot' ./internal/explore/
 
 echo "== scaling gate (workers=8 vs workers=1 smoke sweep) =="
 # Negative-scaling regression gate: the same 4096-execution covering-sweep
@@ -137,6 +141,23 @@ END {
 	printf "POR gate: dedup-only %.0f executions, reduce=on %.0f executions, reduction %.2fx (floor 3.00x)\n", off, on, factor
 	if (factor < 3) {
 		printf "FAIL: reduction only cuts executions %.2fx over dedup alone (floor 3x)\n", factor > "/dev/stderr"
+		exit 1
+	}
+}
+' "$RAW_REDUCE"
+
+echo "== POR wall-clock gate (reduce=on no slower than dedup-only, min of $SCALE_COUNT) =="
+# Fewer executions are not a result until the wall clock agrees: pruned
+# replays are work too. On the same benchmark rows as the executions gate,
+# the reduce=on minimum ns/op must not exceed the dedup-only minimum.
+awk '
+$1 ~ /\/reduce=off(-[0-9]+)?$/ { v = $3 + 0; if (!off || v < off) off = v }
+$1 ~ /\/reduce=on(-[0-9]+)?$/  { v = $3 + 0; if (!on  || v < on)  on  = v }
+END {
+	if (!off || !on) { print "POR wall-clock gate: missing benchmark output" > "/dev/stderr"; exit 1 }
+	printf "POR wall-clock gate: dedup-only min %.0f ns/op, reduce=on min %.0f ns/op\n", off, on
+	if (on > off) {
+		printf "FAIL: reduce=on (%.0f ns/op) is slower than dedup alone (%.0f ns/op)\n", on, off > "/dev/stderr"
 		exit 1
 	}
 }
